@@ -56,18 +56,26 @@ def _resolve_instance(args) -> tuple[IsingInstance, str]:
     return load_instance(args.instance), args.instance
 
 
-def _add_optimizer_flags(p: _Parser) -> None:
-    p.add_argument("--dt", type=float, default=1.0, help="annealing-ramp time step")
-    p.add_argument("--ftol", type=float, default=1e-10)
-    p.add_argument("--xtol", type=float, default=1e-8)
-    p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--max-evaluations", type=int, default=200_000)
-    p.add_argument("--initial-step", type=float, default=0.1)
-    p.add_argument("--budget-s", type=float, default=300.0,
-                   help="wall-clock budget per point (seconds)")
-    p.add_argument("--restarts", type=int, default=0,
-                   help="extra perturbed starts per point")
-    p.add_argument("--seed", type=int, default=0)
+# name: (type, default, help) of each optimizer flag. The sweep parser leaves
+# them at None, so that a flag given on the command line wins over the same
+# key in a config file.
+OPTIMIZER_FLAGS = {
+    "dt": (float, 1.0, "annealing-ramp time step"),
+    "ftol": (float, 1e-10, None),
+    "xtol": (float, 1e-8, None),
+    "max_iterations": (int, 100, None),
+    "max_evaluations": (int, 200_000, None),
+    "initial_step": (float, 0.1, None),
+    "budget_s": (float, 300.0, "wall-clock budget per point (seconds, default 300)"),
+    "restarts": (int, 0, "extra perturbed starts per point"),
+    "seed": (int, 0, None),
+}
+
+
+def _add_optimizer_flags(p: _Parser, with_defaults: bool = True) -> None:
+    for name, (cast, default, help_text) in OPTIMIZER_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=cast,
+                       default=default if with_defaults else None, help=help_text)
 
 
 def _optimizer_from_args(args) -> PowellOptions:
@@ -105,7 +113,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--schemes", nargs="+", choices=("full", "linearized"))
     p_sweep.add_argument("--depths", nargs="+", type=int)
     p_sweep.add_argument("--temperatures", nargs="+", type=float)
-    _add_optimizer_flags(p_sweep)
+    _add_optimizer_flags(p_sweep, with_defaults=False)
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--out-csv", metavar="PATH")
     p_sweep.add_argument("--out-json", metavar="PATH")
@@ -206,20 +214,16 @@ def _sweep_config(args) -> harness.SweepConfig:
     temps = tuple(pick(args.temperatures, "temperatures",
                        lambda v: [float(x) for x in v], harness.DEFAULT_TEMPERATURES))
 
-    def scalar(name, key, cast, default):
-        flag = getattr(args, name)
-        if flag != default:
-            return flag
-        if key in file_vals:
-            return cast(file_vals[key][0])
-        return default
+    def scalar(name):
+        cast, default, _ = OPTIMIZER_FLAGS[name]
+        return pick(getattr(args, name), name, lambda v: cast(v[0]), default)
 
     optimizer = PowellOptions(
-        ftol=scalar("ftol", "ftol", float, 1e-10),
-        xtol=scalar("xtol", "xtol", float, 1e-8),
-        max_iterations=scalar("max_iterations", "max_iterations", int, 100),
-        max_evaluations=scalar("max_evaluations", "max_evaluations", int, 200_000),
-        initial_step=scalar("initial_step", "initial_step", float, 0.1),
+        ftol=scalar("ftol"),
+        xtol=scalar("xtol"),
+        max_iterations=scalar("max_iterations"),
+        max_evaluations=scalar("max_evaluations"),
+        initial_step=scalar("initial_step"),
     )
     return harness.SweepConfig(
         instance=inst,
@@ -228,11 +232,11 @@ def _sweep_config(args) -> harness.SweepConfig:
         schemes=schemes,
         depths=depths,
         temperatures=temps,
-        dt=scalar("dt", "dt", float, 1.0),
+        dt=scalar("dt"),
         optimizer=optimizer,
-        point_budget_s=scalar("budget_s", "budget_s", float, 300.0),
-        restarts=scalar("restarts", "restarts", int, 0),
-        seed=scalar("seed", "seed", int, 0),
+        point_budget_s=scalar("budget_s"),
+        restarts=scalar("restarts"),
+        seed=scalar("seed"),
         workers=args.workers if args.workers is not None else (
             int(file_vals["workers"][0]) if "workers" in file_vals else None),
     )

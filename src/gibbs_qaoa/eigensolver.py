@@ -1,8 +1,9 @@
-"""Dense symmetric eigensolver via cyclic Jacobi rotations.
+"""Dense symmetric eigensolver: LAPACK (through numpy.linalg.eigh) behind a
+validating wrapper.
 
-Kept self-contained so the exact-propagation path has a solver whose
-accuracy characteristics we control; tests cross-check it against an
-independent implementation.
+The wrapper rejects input that is not a finite, square, symmetric real
+matrix, and reports every failure as EigenSolverError, so callers see one
+error type whatever went wrong.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-OFFDIAG_STOP = 1e-13  # relative to the Frobenius norm of the input
-MAX_SWEEPS = 100
 
 
 class EigenSolverError(RuntimeError):
@@ -33,81 +32,24 @@ class EigenDecomposition:
 
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a real symmetric matrix with cyclic Jacobi sweeps.
+    """Diagonalize a real symmetric matrix.
 
-    Stops when the off-diagonal Frobenius norm drops below
-    OFFDIAG_STOP * ||A||_F; raises on non-symmetric input or if MAX_SWEEPS
-    sweeps do not converge.
+    Returns ascending eigenvalues and C-contiguous eigenvector columns;
+    raises EigenSolverError on non-square, non-finite or non-symmetric
+    input, or if LAPACK does not converge.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise EigenSolverError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise EigenSolverError("matrix has non-finite entries")
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > SYMMETRY_TOL * scale:
         raise EigenSolverError("matrix is not symmetric")
-    m = a.copy()
-    dim = m.shape[0]
-    v = np.eye(dim)
-    if dim == 1:
-        return EigenDecomposition(eigenvalues=m.diagonal().copy(), eigenvectors=v)
-
-    norm = np.linalg.norm(m)
-    stop = OFFDIAG_STOP * norm
-    if norm == 0.0:
-        return EigenDecomposition(eigenvalues=np.zeros(dim), eigenvectors=v)
-
-    for _ in range(MAX_SWEEPS):
-        off = _offdiag_norm(m)
-        if off <= stop:
-            break
-        # Skip rotations that cannot matter this sweep.
-        thresh = off / dim
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = m[p, q]
-                if abs(apq) < 1e-2 * thresh:
-                    continue
-                _rotate(m, v, p, q, apq)
-    else:
-        raise EigenSolverError(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
-
-    eigenvalues = m.diagonal().copy()
-    order = np.argsort(eigenvalues, kind="stable")
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigendecomposition failed: {exc}") from exc
     return EigenDecomposition(
-        eigenvalues=eigenvalues[order], eigenvectors=np.ascontiguousarray(v[:, order])
+        eigenvalues=eigenvalues, eigenvectors=np.ascontiguousarray(eigenvectors)
     )
-
-
-def _offdiag_norm(m: np.ndarray) -> float:
-    off = m - np.diag(m.diagonal())
-    return float(np.linalg.norm(off))
-
-
-def _rotate(m: np.ndarray, v: np.ndarray, p: int, q: int, apq: float) -> None:
-    """One Jacobi rotation zeroing m[p, q], applied symmetrically."""
-    theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-    # Smaller-magnitude root of t^2 + 2 t theta - 1 = 0, overflow-safe.
-    if abs(theta) > 1e150:
-        t = 0.5 / theta
-    else:
-        t = np.sign(theta) if theta != 0 else 1.0
-        t /= abs(theta) + np.hypot(theta, 1.0)
-    c = 1.0 / np.hypot(t, 1.0)
-    s = t * c
-
-    row_p = m[p, :].copy()
-    row_q = m[q, :].copy()
-    m[p, :] = c * row_p - s * row_q
-    m[q, :] = s * row_p + c * row_q
-    col_p = m[:, p].copy()
-    col_q = m[:, q].copy()
-    m[:, p] = c * col_p - s * col_q
-    m[:, q] = s * col_p + c * col_q
-    # Re-symmetrize the pivot entries exactly.
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq

@@ -135,6 +135,22 @@ class TestSweep:
         assert len(data) == 1
         assert data[0]["method"] == "qaoa"
 
+    def test_explicit_flag_beats_config_file(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("instance toy\ndt 2.0\nseed 5\nmax_iterations 4\n")
+        args = cli.build_parser().parse_args(
+            ["sweep", "--config", str(cfg), "--dt", "1.0", "--seed", "0"])
+        sweep = cli._sweep_config(args)
+        assert sweep.dt == 1.0  # equal to the flag's default, still explicit
+        assert sweep.seed == 0
+        assert sweep.optimizer.max_iterations == 4  # from the file
+        assert sweep.point_budget_s == cli.OPTIMIZER_FLAGS["budget_s"][1]
+
+    def test_run_flags_keep_defaults(self):
+        args = cli.build_parser().parse_args(["run", "--toy", "--method", "qaoa", "-p", "1"])
+        for name, (_, default, _) in cli.OPTIMIZER_FLAGS.items():
+            assert getattr(args, name) == default
+
     def test_no_instance_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--methods", "qaoa")
         assert code == 1

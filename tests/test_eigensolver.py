@@ -37,6 +37,28 @@ def test_rejects_non_square():
         eigh(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite(bad):
+    a = np.eye(3)
+    a[1, 1] = bad
+    with pytest.raises(EigenSolverError, match="non-finite"):
+        eigh(a)
+
+
+def test_lapack_failure_is_eigensolver_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenSolverError, match="did not converge"):
+        eigh(np.eye(2))
+
+
+def test_eigenvector_columns_are_c_contiguous():
+    a = densify(build_sbo(toy_instance(), 0.5))
+    assert eigh(a).eigenvectors.flags.c_contiguous
+
+
 def test_zero_matrix():
     d = eigh(np.zeros((4, 4)))
     assert np.array_equal(d.eigenvalues, np.zeros(4))

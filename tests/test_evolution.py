@@ -1,8 +1,14 @@
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbs_qaoa.eigensolver import eigh
 from gibbs_qaoa.evolution import (
+    FUSED_MAX_SPINS,
     CircuitSimulator,
     CostKind,
     apply_diagonal_phase,
@@ -15,7 +21,7 @@ from gibbs_qaoa.evolution import (
     probabilities,
     run_circuit,
 )
-from gibbs_qaoa.ising import IsingInstance, gibbs_amplitudes, toy_instance
+from gibbs_qaoa.ising import IsingInstance, energy_table, gibbs_amplitudes, toy_instance
 from gibbs_qaoa.operators import build_sbo, densify, ising_diagonal, sbo_eigendecomposition
 from gibbs_qaoa.variational import AngleSchedule, tqa_schedule
 
@@ -235,3 +241,51 @@ class TestCostKind:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             CostKind(method="other")
+
+
+@lru_cache(maxsize=None)
+def dense_mixer_eigh(n):
+    return np.linalg.eigh(densified_mixer(n))
+
+
+def dense_reference(h_cost, n, gammas, betas):
+    """Final state and objective from numpy.linalg.eigh of the dense operators."""
+    wc, vc = np.linalg.eigh(h_cost)
+    wm, vm = dense_mixer_eigh(n)
+    psi = plus_state(n)
+    for g, b in zip(gammas, betas):
+        psi = vc @ (np.exp(-1j * g * wc) * (vc.T @ psi))
+        psi = vm @ (np.exp(-1j * b * wm) * (vm.T @ psi))
+    return psi, float(np.vdot(psi, h_cost @ psi).real)
+
+
+# n runs across FUSED_MAX_SPINS, so both the dense-transform path and the
+# butterfly path (with its real-matrix sbo phase) meet the reference.
+@pytest.mark.parametrize("n", range(2, 11))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_fast_paths_match_dense_reference(n, data):
+    assert 2 <= FUSED_MAX_SPINS < 10
+    unit = st.sampled_from([-1.0, 0.0, 1.0])
+    couplings = {}
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        value = data.draw(unit)
+        if value:
+            couplings[pair] = value
+    inst = IsingInstance(n=n, couplings=couplings,
+                         fields=tuple(data.draw(unit) for _ in range(n)))
+    if data.draw(st.booleans(), label="sbo"):
+        kind = CostKind.sbo(data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+        h_cost = densify(build_sbo(inst, kind.temperature))
+    else:
+        kind = CostKind.classical()
+        h_cost = np.diag(energy_table(inst))
+    p = data.draw(st.integers(1, 6), label="p")
+    angle = st.floats(-2.0, 2.0, allow_nan=False)
+    gammas = np.array([data.draw(angle) for _ in range(p)])
+    betas = np.array([data.draw(angle) for _ in range(p)])
+
+    psi_ref, obj_ref = dense_reference(h_cost, n, gammas, betas)
+    sim = CircuitSimulator(inst, kind)
+    assert np.abs(sim.run_angles(gammas, betas) - psi_ref).max() <= 1e-10
+    assert abs(sim.objective_angles(gammas, betas) - obj_ref) <= 1e-10
