@@ -6,12 +6,9 @@ from .eigensolver import EigenDecomposition, EigenSolverError, eigh
 from .evolution import (
     CircuitSimulator,
     CostKind,
-    apply_diagonal_phase,
     apply_mixer,
-    apply_sbo_phase,
     plus_state,
     probabilities,
-    run_circuit,
 )
 from .ising import (
     GibbsDistribution,
@@ -53,7 +50,6 @@ from .variational import (
     LinearParams,
     QaoaProblem,
     linear_to_schedule,
-    objective,
     optimize_qaoa,
     tqa_linear_init,
     tqa_schedule,

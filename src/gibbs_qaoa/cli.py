@@ -114,7 +114,10 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--depths", nargs="+", type=int)
     p_sweep.add_argument("--temperatures", nargs="+", type=float)
     _add_optimizer_flags(p_sweep, with_defaults=False)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="worker processes (default: one per core); "
+                              "GIBBS_QAOA_THREADS, when set, wins over this "
+                              "flag and the config file's workers key")
     p_sweep.add_argument("--out-csv", metavar="PATH")
     p_sweep.add_argument("--out-json", metavar="PATH")
     p_sweep.add_argument("--fig-dir", metavar="DIR",

@@ -5,24 +5,28 @@ exp(-i beta_k H_X) with H_X = sum_i sigma_x^i. The cost operator is either
 the classical Ising diagonal or the Gibbs-encoding structured operator at a
 chosen temperature; the latter is propagated through its cached dense
 eigendecomposition, never Trotterized.
+
+The state is carried in the eigenbasis of the cost operator (for the
+classical cost, the computational basis), so every cost phase is a diagonal
+multiply and the objective is a dot product with the eigenvalues. Only the
+mixer step leaves that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
-from .eigensolver import EigenDecomposition
 from .ising import IsingInstance, energy_table
-from .operators import DiagonalOperator, build_sbo, sbo_eigendecomposition
+from .operators import build_sbo, sbo_eigendecomposition
 
-# Up to this many spins the simulator works in dense transform bases (two
-# matvecs per layer); above it, the mixer falls back to per-spin butterflies.
-# Per layer at p = 100 (one BLAS thread), fused vs butterfly: 85 vs 146 us at
-# n = 8 and 404 vs 189 us at n = 9 on the classical cost; 88 vs 184 us and
-# 416 vs 371 us on the sbo cost.
+# Up to this many spins the mixer step is two dense products with the
+# cost-eigenbasis -> Hadamard transform; above it, per-spin butterflies in
+# the computational basis. Per layer at p = 100 (one BLAS thread), dense vs
+# butterfly: 85 vs 146 us at n = 8 and 404 vs 189 us at n = 9 on the
+# classical cost; 88 vs 184 us and 416 vs 371 us on the sbo cost.
 FUSED_MAX_SPINS = 8
 
 
@@ -37,7 +41,7 @@ class CostKind:
         if self.method not in ("classical", "sbo"):
             raise ValueError(f"unknown cost kind {self.method!r}")
         if self.method == "sbo":
-            if self.temperature is None or self.temperature <= 0:
+            if self.temperature is None or not self.temperature > 0:
                 raise ValueError("sbo cost requires a positive temperature")
         elif self.temperature is not None:
             raise ValueError("classical cost takes no temperature")
@@ -64,13 +68,6 @@ def probabilities(psi: np.ndarray) -> np.ndarray:
     return np.abs(psi) ** 2
 
 
-def apply_diagonal_phase(psi: np.ndarray, op: DiagonalOperator, gamma: float) -> np.ndarray:
-    """exp(-i gamma D) for a diagonal cost operator."""
-    if psi.shape[0] != op.dim:
-        raise ValueError(f"state dimension {psi.shape[0]} != operator dimension {op.dim}")
-    return psi * np.exp(-1j * gamma * op.diag)
-
-
 def apply_mixer(psi: np.ndarray, beta: float) -> np.ndarray:
     """exp(-i beta sum_i sigma_x^i), one 2x2 rotation per spin.
 
@@ -89,14 +86,6 @@ def apply_mixer(psi: np.ndarray, beta: float) -> np.ndarray:
         view[:, 0, :] = c * lo + s * hi
         view[:, 1, :] = c * hi + s * lo
     return out
-
-
-def apply_sbo_phase(psi: np.ndarray, eig: EigenDecomposition, gamma: float) -> np.ndarray:
-    """exp(-i gamma H) through the cached eigendecomposition of H."""
-    if psi.shape[0] != eig.dim:
-        raise ValueError(f"state dimension {psi.shape[0]} != decomposition dimension {eig.dim}")
-    v = eig.eigenvectors
-    return _real_matmul(v, np.exp(-1j * gamma * eig.eigenvalues) * _real_matmul(v.T, psi))
 
 
 def _real_matmul(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -124,7 +113,12 @@ class CircuitSimulator:
 
     The cost operator (and, for the structured cost, its eigendecomposition)
     is built once in the constructor and shared across every run, which is
-    what makes optimizer loops affordable.
+    what makes optimizer loops affordable. Runs carry the coefficients c of
+    the state in the cost eigenbasis V (V = identity for the classical
+    cost): each layer multiplies c by exp(-i gamma eigenvalue), then applies
+    the mixer as B^T (mixer phase * B c) with the dense transform B = W V
+    (W the Hadamard transform) up to FUSED_MAX_SPINS spins, and as
+    V^T apply_mixer(V c) above.
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):
@@ -136,75 +130,53 @@ class CircuitSimulator:
         if kind.method == "classical":
             self.cost_eigs = energy_table(inst)
             self.eig = None
+            self._from_cost = self._to_cost = np.asarray  # V is the identity
         else:
             self.sbo = build_sbo(inst, kind.temperature)
             self.eig = sbo_eigendecomposition(self.sbo)
             self.cost_eigs = self.eig.eigenvalues
-        self._fused = self.n <= FUSED_MAX_SPINS
-        if self._fused:
+            self._from_cost = partial(_real_matmul, self.eig.eigenvectors)
+            self._to_cost = partial(_real_matmul, self.eig.eigenvectors.T)
+        self._c0 = self._to_cost(plus_state(self.n))
+        self._c0.flags.writeable = False  # returned as is by a zero-layer run
+        # Each phase is exp(-i angle level), gathered from the distinct
+        # eigenvalues (n + 1 of them for the mixer).
+        self._cost_levels, self._cost_index = _levels(self.cost_eigs)
+        if self.n <= FUSED_MAX_SPINS:
             w = hadamard_matrix(self.n)
-            psi0 = plus_state(self.n)
-            if self.eig is None:
-                to_had = w  # computational -> Hadamard basis
-                self._c0 = psi0
-            else:
-                to_had = w @ self.eig.eigenvectors  # cost eigenbasis -> Hadamard
-                self._c0 = _real_matmul(self.eig.eigenvectors.T, psi0)
-            self._c0.flags.writeable = False  # returned as is by a zero-layer run
+            to_had = w if self.eig is None else w @ self.eig.eigenvectors
             self._to_had = to_had.astype(complex)
             self._from_had = np.ascontiguousarray(self._to_had.T)
-            # Each phase table is exp(-i angle level), gathered from the
-            # distinct eigenvalues (n + 1 of them for the mixer).
-            self._cost_levels, self._cost_index = _levels(self.cost_eigs)
             self._mix_levels, self._mix_index = _levels(self.mixer_eigs)
 
-    def _run_cost_basis(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """Fused path: returns the final state in the cost eigenbasis."""
-        cost_ph = np.exp(np.multiply.outer(gammas, self._cost_levels))[:, self._cost_index]
-        mix_ph = np.exp(np.multiply.outer(betas, self._mix_levels))[:, self._mix_index]
-        b = self._to_had
-        bt = self._from_had
-        c = self._c0
-        for cp, mp in zip(cost_ph, mix_ph):
-            c = bt @ (mp * (b @ (cp * c)))
-        return c
-
-    def _run_primitive(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        psi = plus_state(self.n)
-        if self.eig is None:
-            cost = DiagonalOperator(diag=self.cost_eigs)
-            for g, bt in zip(gammas, betas):
-                psi = apply_diagonal_phase(psi, cost, g)
-                psi = apply_mixer(psi, bt)
-        else:
-            for g, bt in zip(gammas, betas):
-                psi = apply_sbo_phase(psi, self.eig, g)
-                psi = apply_mixer(psi, bt)
-        return psi
-
-    def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """Final state vector in the computational basis."""
+    def _run(self, gammas, betas) -> np.ndarray:
+        """Final state of a schedule, as coefficients in the cost eigenbasis."""
         gammas = np.asarray(gammas, dtype=float)
         betas = np.asarray(betas, dtype=float)
         if gammas.shape != betas.shape:
             raise ValueError("schedule gamma/beta lengths differ")
-        if not self._fused:
-            return self._run_primitive(gammas, betas)
-        c = self._run_cost_basis(gammas, betas)
-        if self.eig is None:
-            return c
-        return _real_matmul(self.eig.eigenvectors, c)
+        c = self._c0
+        if self.n <= FUSED_MAX_SPINS:
+            cost_ph = np.exp(np.multiply.outer(gammas, self._cost_levels))[:, self._cost_index]
+            mix_ph = np.exp(np.multiply.outer(betas, self._mix_levels))[:, self._mix_index]
+            b = self._to_had
+            bt = self._from_had
+            for cp, mp in zip(cost_ph, mix_ph):
+                c = bt @ (mp * (b @ (cp * c)))
+        else:
+            # Phases per layer: a p x 2^n table would dominate the memory.
+            for g, beta in zip(gammas, betas):
+                cp = np.exp(g * self._cost_levels)[self._cost_index]
+                c = self._to_cost(apply_mixer(self._from_cost(cp * c), beta))
+        return c
+
+    def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        """Final state vector in the computational basis."""
+        return self._from_cost(self._run(gammas, betas))
 
     def objective_angles(self, gammas: np.ndarray, betas: np.ndarray) -> float:
         """<psi|H_C|psi> of the final state; the optimization target."""
-        gammas = np.asarray(gammas, dtype=float)
-        betas = np.asarray(betas, dtype=float)
-        if self._fused:
-            c = self._run_cost_basis(gammas, betas)
-        else:
-            c = self._run_primitive(gammas, betas)
-            if self.eig is not None:
-                c = _real_matmul(self.eig.eigenvectors.T, c)
+        c = self._run(gammas, betas)
         return float(np.dot(self.cost_eigs, (c * c.conj()).real))
 
     def run(self, schedule) -> np.ndarray:
@@ -215,11 +187,6 @@ class CircuitSimulator:
 
     def probabilities(self, schedule) -> np.ndarray:
         return probabilities(self.run(schedule))
-
-
-def run_circuit(inst: IsingInstance, kind: CostKind, schedule) -> np.ndarray:
-    """One-off circuit run; builds a fresh simulator each call."""
-    return CircuitSimulator(inst, kind).run(schedule)
 
 
 def _levels(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,11 +210,8 @@ __all__ = [
     "CircuitSimulator",
     "plus_state",
     "probabilities",
-    "apply_diagonal_phase",
     "apply_mixer",
-    "apply_sbo_phase",
     "mixer_eigenvalues",
     "hadamard_matrix",
-    "run_circuit",
     "densified_mixer",
 ]

@@ -232,7 +232,7 @@ def gibbs_distribution(inst: IsingInstance, temperature: float) -> GibbsDistribu
     Weights are computed relative to the ground energy so that T -> 0
     underflows instead of overflowing.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     e = energy_table(inst)
     e0 = e.min()
@@ -250,7 +250,7 @@ def gibbs_amplitudes(inst: IsingInstance, temperature: float) -> np.ndarray:
     This is the square-root-Boltzmann state annihilated by the structured
     cost operator built in `operators.build_sbo`.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     e = energy_table(inst)
     amps = np.exp(-(e - e.min()) / (2.0 * temperature))

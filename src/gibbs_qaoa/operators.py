@@ -85,7 +85,7 @@ def build_sbo(inst: IsingInstance, temperature: float) -> SboOperator:
     diag(sigma) = sum_i exp((H_i(sigma) - alpha)/T); every single-flip pair
     carries -exp(-alpha/T). All exponents are <= 0 by construction.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     a = alpha(inst)
     diag = np.zeros(inst.dim)

@@ -94,17 +94,6 @@ def linear_to_schedule(lp: LinearParams, p: int) -> AngleSchedule:
     )
 
 
-def schedule_from_params(scheme: str, params, p: int) -> AngleSchedule:
-    params = np.asarray(params, dtype=float)
-    if scheme == "full":
-        if params.size != 2 * p:
-            raise ValueError(f"full scheme at depth {p} needs 2p={2*p} parameters, got {params.size}")
-        return AngleSchedule(gamma=tuple(params[:p]), beta=tuple(params[p:]))
-    if scheme == "linearized":
-        return linear_to_schedule(LinearParams.from_vector(params), p)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 class QaoaProblem:
     """Objective callable binding an instance, cost kind, scheme, and depth.
 
@@ -143,11 +132,6 @@ class QaoaProblem:
     def schedule(self, params) -> AngleSchedule:
         gammas, betas = self.split(params)
         return AngleSchedule(gamma=tuple(gammas), beta=tuple(betas))
-
-
-def objective(inst: IsingInstance, kind: CostKind, scheme: str, params, p: int) -> float:
-    """One-off objective evaluation (builds the simulator each call)."""
-    return QaoaProblem(inst, kind, scheme, p).objective(np.asarray(params, dtype=float))
 
 
 def init_scale(kind: CostKind, alpha_value: float) -> float:

@@ -17,7 +17,6 @@ from gibbs_qaoa.evolution import (
     CostKind,
     apply_mixer,
     densified_mixer,
-    run_circuit,
 )
 from gibbs_qaoa.harness import SweepConfig, run_sweep
 from gibbs_qaoa.ising import (
@@ -250,7 +249,7 @@ def test_criterion_8_numerical_kernel_suite(toy_gs):
     sched = AngleSchedule(
         gamma=tuple(rng.uniform(-2, 2, 100)), beta=tuple(rng.uniform(-2, 2, 100))
     )
-    psi = run_circuit(toy_instance(), CostKind.sbo(1.0), sched)
+    psi = CircuitSimulator(toy_instance(), CostKind.sbo(1.0)).run(sched)
     drift = abs(np.linalg.norm(psi) - 1.0)
     probs = np.abs(psi) ** 2
     flip_err = float(np.abs(probs - probs[np.arange(32) ^ 31]).max())

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gibbs_qaoa import cli
 from gibbs_qaoa.ising import IsingInstance, render_instance
 
@@ -78,6 +80,13 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "run", "--toy", "--method", "sbo", "-p", "1")
         assert code == 1
         assert "requires -T" in err
+
+    @pytest.mark.parametrize("command", ["gibbs", "oracle"])
+    def test_nan_temperature(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--toy", "-T", "nan")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "nan" not in out
 
     def test_unreadable_instance(self, capsys):
         code, _, err = run_cli(capsys, "gibbs", "--instance", "/does/not/exist", "-T", "1")

@@ -11,18 +11,15 @@ from gibbs_qaoa.evolution import (
     FUSED_MAX_SPINS,
     CircuitSimulator,
     CostKind,
-    apply_diagonal_phase,
     apply_mixer,
-    apply_sbo_phase,
     densified_mixer,
     hadamard_matrix,
     mixer_eigenvalues,
     plus_state,
     probabilities,
-    run_circuit,
 )
-from gibbs_qaoa.ising import IsingInstance, energy_table, gibbs_amplitudes, toy_instance
-from gibbs_qaoa.operators import build_sbo, densify, ising_diagonal, sbo_eigendecomposition
+from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
+from gibbs_qaoa.operators import build_sbo, densify
 from gibbs_qaoa.variational import AngleSchedule, tqa_schedule
 
 # objective of the unoptimized annealing ramp at p=10, frozen from an
@@ -51,31 +48,6 @@ class TestPlusState:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             plus_state(0)
-
-
-class TestDiagonalPhase:
-    def test_zero_angle_is_identity(self):
-        psi = plus_state(5)
-        out = apply_diagonal_phase(psi, ising_diagonal(toy_instance()), 0.0)
-        assert np.array_equal(out, psi)
-
-    def test_pure_phase_on_basis_state(self):
-        psi = np.zeros(32, dtype=complex)
-        psi[13] = 1.0
-        out = apply_diagonal_phase(psi, ising_diagonal(toy_instance()), 0.73)
-        assert np.allclose(probabilities(out), probabilities(psi))
-
-    def test_pi_angle_flips_odd_energy_amplitudes(self):
-        inst = IsingInstance(n=2, couplings={(1, 2): 1.0})  # energies all odd
-        op = ising_diagonal(inst)
-        psi = plus_state(2)
-        out = apply_diagonal_phase(psi, op, np.pi)
-        signs = np.where(np.rint(op.diag).astype(int) % 2 == 0, 1.0, -1.0)
-        assert np.allclose(out, psi * signs, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_diagonal_phase(plus_state(2), ising_diagonal(toy_instance()), 0.1)
 
 
 class TestMixer:
@@ -110,44 +82,10 @@ class TestMixer:
             assert np.allclose(w @ np.diag(d) @ w, densified_mixer(n), atol=1e-12)
 
 
-class TestSboPhase:
-    def test_zero_angle_is_identity(self):
-        eig = sbo_eigendecomposition(build_sbo(toy_instance(), 1.0))
-        psi = random_state(np.random.default_rng(2), 32)
-        assert np.abs(apply_sbo_phase(psi, eig, 0.0) - psi).max() <= 1e-12
-
-    def test_kernel_state_probabilities_unchanged(self):
-        inst = toy_instance()
-        eig = sbo_eigendecomposition(build_sbo(inst, 1.0))
-        psi = gibbs_amplitudes(inst, 1.0).astype(complex)
-        out = apply_sbo_phase(psi, eig, 1.234)
-        assert np.abs(probabilities(out) - probabilities(psi)).max() <= 1e-12
-
-    def test_single_spin_hand_computation(self):
-        # H = [[1,-1],[-1,1]]: exp(-i (pi/2) H)|up> = |down> up to phase
-        op = build_sbo(IsingInstance(n=1), 1.0)
-        eig = sbo_eigendecomposition(op)
-        psi = np.array([0.0, 1.0], dtype=complex)
-        out = apply_sbo_phase(psi, eig, np.pi / 2)
-        assert np.allclose(probabilities(out), [1.0, 0.0], atol=1e-12)
-        # direct 2x2 check at a generic angle
-        gamma = 0.37
-        lam, v = np.linalg.eigh(densify(op))
-        expected = v @ np.diag(np.exp(-1j * gamma * lam)) @ v.conj().T @ psi
-        got = apply_sbo_phase(psi, eig, gamma)
-        assert np.abs(got - expected).max() <= 1e-12
-
-    def test_unitarity(self):
-        eig = sbo_eigendecomposition(build_sbo(toy_instance(), 0.5))
-        psi = random_state(np.random.default_rng(3), 32)
-        out = apply_sbo_phase(psi, eig, 2.5)
-        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
-
-
 class TestRunCircuit:
     def test_zero_angles_give_plus_state(self):
         sched = AngleSchedule(gamma=(0.0,), beta=(0.0,))
-        psi = run_circuit(toy_instance(), CostKind.classical(), sched)
+        psi = CircuitSimulator(toy_instance(), CostKind.classical()).run(sched)
         assert np.allclose(psi, plus_state(5), atol=1e-14)
 
     def test_tqa_p10_matches_dense_oracle(self):
@@ -164,7 +102,7 @@ class TestRunCircuit:
         sched = AngleSchedule(
             gamma=tuple(rng.uniform(-2, 2, 100)), beta=tuple(rng.uniform(-2, 2, 100))
         )
-        psi = run_circuit(toy_instance(), kind, sched)
+        psi = CircuitSimulator(toy_instance(), kind).run(sched)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(0.7)])
@@ -186,33 +124,30 @@ class TestRunCircuit:
         once = sim.run(AngleSchedule(gamma=tuple(g), beta=tuple(b)))
         first = sim.run(AngleSchedule(gamma=tuple(g[:3]), beta=tuple(b[:3])))
         # continue from `first` by applying the remaining layers manually
-        second = first
         if kind.method == "classical":
-            op = ising_diagonal(toy_instance())
-            for gamma, beta in zip(g[3:], b[3:]):
-                second = apply_mixer(apply_diagonal_phase(second, op, gamma), beta)
+            lam, v = energy_table(toy_instance()), np.eye(32)
         else:
-            for gamma, beta in zip(g[3:], b[3:]):
-                second = apply_mixer(apply_sbo_phase(second, sim.eig, gamma), beta)
+            lam, v = sim.eig.eigenvalues, sim.eig.eigenvectors
+        second = first
+        for gamma, beta in zip(g[3:], b[3:]):
+            second = apply_mixer(v @ (np.exp(-1j * gamma * lam) * (v.T @ second)), beta)
         assert np.abs(once - second).max() <= 1e-12
 
+    def test_kernel_state_probabilities_unchanged(self):
+        # With no couplings or fields, |+> spans the kernel of H_S(T) and is
+        # an eigenstate of the mixer; n = 1 takes the dense mixer step and
+        # FUSED_MAX_SPINS + 1 the butterfly one.
+        for n in (1, FUSED_MAX_SPINS + 1):
+            sim = CircuitSimulator(IsingInstance(n=n), CostKind.sbo(1.0))
+            psi = sim.run_angles([0.0, 1.234], [0.0, 0.7])
+            assert np.abs(probabilities(psi) - 2.0 ** -n).max() <= 1e-12
+
     @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(1.0)])
-    def test_fused_path_matches_primitives(self, kind):
-        rng = np.random.default_rng(7)
-        sched = AngleSchedule(
-            gamma=tuple(rng.uniform(-2, 2, 5)), beta=tuple(rng.uniform(-2, 2, 5))
-        )
+    @pytest.mark.parametrize("entry", ["run_angles", "objective_angles"])
+    def test_length_mismatch_rejected(self, entry, kind):
         sim = CircuitSimulator(toy_instance(), kind)
-        fused = sim.run(sched)
-        primitive = sim._run_primitive(np.array(sched.gamma), np.array(sched.beta))
-        assert np.abs(fused - primitive).max() <= 1e-12
-        obj_direct = sim.objective(sched)
-        if kind.method == "classical":
-            obj_ref = float(np.sum(sim.cost_eigs * probabilities(primitive)))
-        else:
-            c = sim.eig.eigenvectors.T @ primitive
-            obj_ref = float(np.sum(sim.cost_eigs * np.abs(c) ** 2))
-        assert obj_direct == pytest.approx(obj_ref, abs=1e-12)
+        with pytest.raises(ValueError, match="lengths differ"):
+            getattr(sim, entry)([0.1, 0.2, 0.3], [0.4])
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -233,6 +168,8 @@ class TestCostKind:
             CostKind(method="sbo")
         with pytest.raises(ValueError):
             CostKind.sbo(-1.0)
+        with pytest.raises(ValueError):
+            CostKind.sbo(float("nan"))
 
     def test_classical_takes_no_temperature(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from gibbs_qaoa.ising import (
     classical_energy,
     energy_table,
     flip_all,
+    gibbs_amplitudes,
     gibbs_distribution,
     ground_set,
     index_of_spins,
@@ -113,12 +114,18 @@ class TestGibbs:
     def test_high_temperature_near_uniform(self):
         dist = gibbs_distribution(toy_instance(), 1e6)
         assert np.abs(dist.probabilities - 1 / 32).max() < 1e-4
+        # T = inf is the uniform limit, not an error
+        assert np.array_equal(gibbs_distribution(toy_instance(), np.inf).probabilities,
+                              np.full(32, 1 / 32))
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             gibbs_distribution(toy_instance(), 0.0)
         with pytest.raises(ValueError):
             gibbs_distribution(toy_instance(), -1.0)
+        for fn in (gibbs_distribution, gibbs_amplitudes):
+            with pytest.raises(ValueError):
+                fn(toy_instance(), float("nan"))
 
     @pytest.mark.parametrize("t", np.geomspace(1e-3, 1e6, 10))
     def test_normalization_across_temperatures(self, t):

@@ -85,6 +85,8 @@ class TestBuildSbo:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             build_sbo(toy_instance(), 0.0)
+        with pytest.raises(ValueError):
+            build_sbo(toy_instance(), float("nan"))
 
     def test_diag_and_offdiag_ranges(self):
         for t in (0.5, 1.0, 2.0):
@@ -92,6 +94,8 @@ class TestBuildSbo:
             assert (op.diag > 0).all()
             assert (op.diag <= op.n).all()
             assert -1.0 <= op.offdiag < 0.0
+        limit = build_sbo(toy_instance(), np.inf)  # H_S = n - sum_i X_i
+        assert (limit.diag == limit.n).all() and limit.offdiag == -1.0
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_gibbs_state_in_kernel(self, t):

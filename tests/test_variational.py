@@ -12,9 +12,7 @@ from gibbs_qaoa.variational import (
     init_scale,
     linear_to_schedule,
     linearized_init_battery,
-    objective,
     optimize_qaoa,
-    schedule_from_params,
     tqa_linear_init,
     tqa_schedule,
 )
@@ -69,18 +67,17 @@ class TestSchedules:
             tqa_schedule(3, dt=0.0)
 
     def test_schedule_from_params(self):
-        s = schedule_from_params("full", [0.1, 0.2, 0.3, 0.4], 2)
+        s = QaoaProblem(toy_instance(), CostKind.classical(), "full", 2).schedule(
+            [0.1, 0.2, 0.3, 0.4])
         assert s.gamma == (0.1, 0.2)
         assert s.beta == (0.3, 0.4)
-        with pytest.raises(ValueError):
-            schedule_from_params("full", [0.1, 0.2, 0.3], 2)
-        with pytest.raises(ValueError):
-            schedule_from_params("linearized", [0.1] * 5, 2)
+        lin = QaoaProblem(toy_instance(), CostKind.classical(), "linearized", 2)
+        assert lin.schedule([1.0, 0.0, -1.0, 1.0]) == tqa_schedule(2)
 
 
 class TestObjective:
     def test_plus_state_value(self):
-        val = objective(toy_instance(), CostKind.classical(), "full", [0.0, 0.0], 1)
+        val = QaoaProblem(toy_instance(), CostKind.classical(), "full", 1).objective([0.0, 0.0])
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_sbo_objective_bounded_below(self):
