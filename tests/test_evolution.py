@@ -133,15 +133,6 @@ class TestRunCircuit:
             second = apply_mixer(v @ (np.exp(-1j * gamma * lam) * (v.T @ second)), beta)
         assert np.abs(once - second).max() <= 1e-12
 
-    def test_kernel_state_probabilities_unchanged(self):
-        # With no couplings or fields, |+> spans the kernel of H_S(T) and is
-        # an eigenstate of the mixer; n = 1 takes the dense mixer step and
-        # FUSED_MAX_SPINS + 1 the butterfly one.
-        for n in (1, FUSED_MAX_SPINS + 1):
-            sim = CircuitSimulator(IsingInstance(n=n), CostKind.sbo(1.0))
-            psi = sim.run_angles([0.0, 1.234], [0.0, 0.7])
-            assert np.abs(probabilities(psi) - 2.0 ** -n).max() <= 1e-12
-
     @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(1.0)])
     @pytest.mark.parametrize("entry", ["run_angles", "objective_angles"])
     def test_length_mismatch_rejected(self, entry, kind):
@@ -160,6 +151,34 @@ class TestRunCircuit:
         psi[5] = 1.0
         probs = probabilities(psi)
         assert probs[5] == 1.0 and probs.sum() == 1.0
+
+
+class TestSboPhase:
+    """The sbo cost phase exp(-i gamma H_S(T)), seen through the simulator."""
+
+    def test_zero_angle_is_identity(self):
+        # A layer with gamma = 0 must leave the state to the mixer alone; the
+        # toy instance takes the dense mixer step and the 9-spin chain the
+        # butterfly one.
+        chain = IsingInstance(
+            n=FUSED_MAX_SPINS + 1,
+            couplings={(i, i + 1): 1.0 for i in range(1, FUSED_MAX_SPINS + 1)},
+            fields=tuple(0.3 * (-1) ** i for i in range(FUSED_MAX_SPINS + 1)),
+        )
+        for inst in (toy_instance(), chain):
+            sim = CircuitSimulator(inst, CostKind.sbo(0.8))
+            first = sim.run_angles([0.9], [0.4])
+            both = sim.run_angles([0.9, 0.0], [0.4, -0.6])
+            assert np.abs(both - apply_mixer(first, -0.6)).max() <= 1e-12
+
+    def test_kernel_state_probabilities_unchanged(self):
+        # With no couplings or fields, |+> spans the kernel of H_S(T) and is
+        # an eigenstate of the mixer; n = 1 takes the dense mixer step and
+        # FUSED_MAX_SPINS + 1 the butterfly one.
+        for n in (1, FUSED_MAX_SPINS + 1):
+            sim = CircuitSimulator(IsingInstance(n=n), CostKind.sbo(1.0))
+            psi = sim.run_angles([0.0, 1.234], [0.0, 0.7])
+            assert np.abs(probabilities(psi) - 2.0 ** -n).max() <= 1e-12
 
 
 class TestCostKind:
