@@ -41,7 +41,6 @@ from .operators import (
     build_sbo,
     densify,
     expectation,
-    ising_diagonal,
     local_diagonal,
 )
 from .powell import ObjectiveError, OptResult, PowellOptions, powell_minimize

@@ -28,7 +28,7 @@ from .ising import (
 )
 from .metrics import ground_state_probability, orbit_probabilities
 from .operators import apply_operator, build_sbo, densify
-from .powell import PowellOptions
+from .powell import ObjectiveError, PowellOptions
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -355,10 +355,7 @@ def main(argv=None) -> int:
             return cmd_gibbs(args)
         if args.command == "oracle":
             return cmd_oracle(args)
-    except (InstanceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (InstanceError, ValueError, ObjectiveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     raise AssertionError("unreachable")

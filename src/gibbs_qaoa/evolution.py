@@ -9,7 +9,8 @@ eigendecomposition, never Trotterized.
 The state is carried in the eigenbasis of the cost operator (for the
 classical cost, the computational basis), so every cost phase is a diagonal
 multiply and the objective is a dot product with the eigenvalues. Only the
-mixer step leaves that basis.
+mixer step leaves that basis. Instances without fields carry only the
+even global-flip sector, half the amplitudes (see CircuitSimulator).
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ from functools import partial, reduce
 
 import numpy as np
 
+from .eigensolver import EigenDecomposition
 from .ising import IsingInstance, energy_table
 from .operators import build_sbo, sbo_eigendecomposition
 
-# Up to this many spins the mixer step is two dense products with the
-# cost-eigenbasis -> Hadamard transform; above it, per-spin butterflies in
-# the computational basis. Per layer at p = 100 (one BLAS thread), dense vs
-# butterfly: 85 vs 146 us at n = 8 and 404 vs 189 us at n = 9 on the
-# classical cost; 88 vs 184 us and 416 vs 371 us on the sbo cost.
+# Up to 2^FUSED_MAX_SPINS carried amplitudes (this many spins, one more in
+# the even sector) the mixer step is two dense products with the
+# cost-eigenbasis -> Hadamard transform; above, per-spin butterflies in the
+# computational basis. Per layer at p = 100 (one BLAS thread), dense vs
+# butterfly with fields: 71 vs 127 us at n = 8 and 429 vs 112 us at n = 9
+# on the classical cost, 108 vs 184 and 404 vs 260 us on the sbo cost;
+# without fields: 81 vs 136 us at n = 9 and 455 vs 141 us at n = 10 on the
+# classical cost, 90 vs 146 and 471 vs 363 us on the sbo cost.
 FUSED_MAX_SPINS = 8
 
 
@@ -117,8 +122,16 @@ class CircuitSimulator:
     the state in the cost eigenbasis V (V = identity for the classical
     cost): each layer multiplies c by exp(-i gamma eigenvalue), then applies
     the mixer as B^T (mixer phase * B c) with the dense transform B = W V
-    (W the Hadamard transform) up to FUSED_MAX_SPINS spins, and as
+    (W the Hadamard transform) up to 2^FUSED_MAX_SPINS amplitudes, and as
     V^T apply_mixer(V c) above.
+
+    When every field is zero, |+>, H_X and the cost operator commute with
+    the global flip, so the state never leaves the even sector. The
+    simulator then carries u = sqrt(2) psi[:2^(n-1)] in the basis
+    e_x = (|x> + |~x>)/sqrt(2): V diagonalizes the cost operator's block on
+    that sector, B keeps the even-parity Hadamard rows, and above the
+    threshold the mixer acts on the low n - 1 spins by butterflies and on
+    the top spin as u -> cos(beta) u - i sin(beta) reversed(u).
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):
@@ -126,28 +139,51 @@ class CircuitSimulator:
         self.kind = kind
         self.n = inst.n
         self.dim = inst.dim
-        self.mixer_eigs = mixer_eigenvalues(self.n)
+        self.sector = inst.flip_symmetric
+        width = self.dim >> self.sector  # length of the carried vector
         if kind.method == "classical":
-            self.cost_eigs = energy_table(inst)
-            self.eig = None
+            self.cost_eigs = energy_table(inst)[:width]
+            self._eig = None
             self._from_cost = self._to_cost = np.asarray  # V is the identity
         else:
             self.sbo = build_sbo(inst, kind.temperature)
-            self.eig = sbo_eigendecomposition(self.sbo)
-            self.cost_eigs = self.eig.eigenvalues
-            self._from_cost = partial(_real_matmul, self.eig.eigenvectors)
-            self._to_cost = partial(_real_matmul, self.eig.eigenvectors.T)
-        self._c0 = self._to_cost(plus_state(self.n))
+            self._eig = sbo_eigendecomposition(self.sbo, even=self.sector)
+            self.cost_eigs = self._eig.eigenvalues
+            self._from_cost = partial(_real_matmul, self._eig.eigenvectors)
+            self._to_cost = partial(_real_matmul, self._eig.eigenvectors.T)
+        self._mixer = _apply_even_mixer if self.sector else apply_mixer
+        self._fused = width <= 1 << FUSED_MAX_SPINS
+        # |+>^n, carried (in the sector u = sqrt(2) psi[:width])
+        self._c0 = self._to_cost(plus_state(self.n)[:width] * np.sqrt(self.dim / width))
         self._c0.flags.writeable = False  # returned as is by a zero-layer run
         # Each phase is exp(-i angle level), gathered from the distinct
         # eigenvalues (n + 1 of them for the mixer).
         self._cost_levels, self._cost_index = _levels(self.cost_eigs)
-        if self.n <= FUSED_MAX_SPINS:
+        if self._fused:
             w = hadamard_matrix(self.n)
-            to_had = w if self.eig is None else w @ self.eig.eigenvectors
+            mixer_eigs = mixer_eigenvalues(self.n)
+            if self.sector:
+                # W e_x is sqrt(2) W[k, x] on rows k of even parity, 0 on odd.
+                even = np.bitwise_count(np.arange(self.dim)) % 2 == 0
+                w = np.sqrt(2.0) * w[even, :width]
+                mixer_eigs = mixer_eigs[even]
+            to_had = w if self._eig is None else w @ self._eig.eigenvectors
             self._to_had = to_had.astype(complex)
             self._from_had = np.ascontiguousarray(self._to_had.T)
-            self._mix_levels, self._mix_index = _levels(self.mixer_eigs)
+            self._mix_levels, self._mix_index = _levels(mixer_eigs)
+
+    @property
+    def eig(self) -> EigenDecomposition | None:
+        """Eigendecomposition of the sbo cost operator; None for the
+        classical cost.
+
+        Eigenvalues ascend and eigenvectors have 2^n rows. In the even
+        sector the columns are the sector's eigenvectors embedded in the
+        computational basis, built on each read (1 GB at n = 14).
+        """
+        if self._eig is None or not self.sector:
+            return self._eig
+        return EigenDecomposition(self._eig.eigenvalues, _embed(self._eig.eigenvectors))
 
     def _run(self, gammas, betas) -> np.ndarray:
         """Final state of a schedule, as coefficients in the cost eigenbasis."""
@@ -156,7 +192,7 @@ class CircuitSimulator:
         if gammas.shape != betas.shape:
             raise ValueError("schedule gamma/beta lengths differ")
         c = self._c0
-        if self.n <= FUSED_MAX_SPINS:
+        if self._fused:
             cost_ph = np.exp(np.multiply.outer(gammas, self._cost_levels))[:, self._cost_index]
             mix_ph = np.exp(np.multiply.outer(betas, self._mix_levels))[:, self._mix_index]
             b = self._to_had
@@ -167,12 +203,13 @@ class CircuitSimulator:
             # Phases per layer: a p x 2^n table would dominate the memory.
             for g, beta in zip(gammas, betas):
                 cp = np.exp(g * self._cost_levels)[self._cost_index]
-                c = self._to_cost(apply_mixer(self._from_cost(cp * c), beta))
+                c = self._to_cost(self._mixer(self._from_cost(cp * c), beta))
         return c
 
     def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         """Final state vector in the computational basis."""
-        return self._from_cost(self._run(gammas, betas))
+        u = self._from_cost(self._run(gammas, betas))
+        return _embed(u) if self.sector else u
 
     def objective_angles(self, gammas: np.ndarray, betas: np.ndarray) -> float:
         """<psi|H_C|psi> of the final state; the optimization target."""
@@ -187,6 +224,22 @@ class CircuitSimulator:
 
     def probabilities(self, schedule) -> np.ndarray:
         return probabilities(self.run(schedule))
+
+
+def _apply_even_mixer(u: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-i beta sum_i sigma_x^i) on the even-sector coefficients u.
+
+    The low spins act on u as on a state of one spin fewer; flipping the
+    top spin maps e_x to e_{x ^ (len(u) - 1)}, which reverses u.
+    """
+    out = apply_mixer(u, beta)
+    return np.cos(beta) * out - 1j * np.sin(beta) * out[::-1]
+
+
+def _embed(u: np.ndarray) -> np.ndarray:
+    """Computational-basis rows [u; reversed(u)]/sqrt(2) of even-sector
+    coefficients (a vector, or a matrix of column vectors)."""
+    return np.concatenate((u, u[::-1])) * np.sqrt(0.5)
 
 
 def _levels(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

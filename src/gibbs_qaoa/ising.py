@@ -78,6 +78,12 @@ class IsingInstance:
         vals = list(self.couplings.values()) + list(self.fields)
         return all(float(v).is_integer() for v in vals)
 
+    @property
+    def flip_symmetric(self) -> bool:
+        """True when every field is zero, so that reversing every spin
+        leaves each energy unchanged."""
+        return all(h == 0 for h in self.fields)
+
     def __hash__(self):
         return hash((self.n, tuple(self.couplings.items()), self.fields))
 
@@ -187,7 +193,7 @@ def ground_set(inst: IsingInstance) -> GroundSet:
         mask = e <= e0 + DEGENERACY_TOL
     states = tuple(int(i) for i in np.nonzero(mask)[0])
     orbits = None
-    if all(h == 0 for h in inst.fields):
+    if inst.flip_symmetric:
         orbits = _flip_orbits(states, inst.n)
     return GroundSet(e0=e0, states=states, orbits=orbits)
 

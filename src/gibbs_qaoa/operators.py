@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import EigenDecomposition, eigh
-from .ising import IsingInstance, energy_table, spin_table
+from .ising import IsingInstance, spin_table
 
 DENSE_LIMIT = 1 << 14
 
@@ -45,11 +45,6 @@ class SboOperator:
     @property
     def dim(self) -> int:
         return 1 << self.n
-
-
-def ising_diagonal(inst: IsingInstance) -> DiagonalOperator:
-    """The full classical energy as a diagonal operator."""
-    return DiagonalOperator(diag=energy_table(inst))
 
 
 def local_diagonal(inst: IsingInstance, i: int) -> DiagonalOperator:
@@ -102,15 +97,37 @@ def build_sbo(inst: IsingInstance, temperature: float) -> SboOperator:
 
 def densify(op: SboOperator | DiagonalOperator) -> np.ndarray:
     """Dense symmetric matrix form, for eigendecomposition and oracles."""
-    dim = op.dim
-    if dim > DENSE_LIMIT:
-        raise ValueError(f"dimension {dim} exceeds the dense limit {DENSE_LIMIT}")
     if isinstance(op, DiagonalOperator):
-        return np.diag(op.diag)
-    m = np.diag(op.diag)
-    idx = np.arange(dim)
-    for b in range(op.n):
-        m[idx, idx ^ (1 << b)] = op.offdiag
+        return _dense(op.diag, 0.0, ())
+    return _dense(op.diag, op.offdiag, [1 << b for b in range(op.n)])
+
+
+def densify_even(op: SboOperator) -> np.ndarray:
+    """Dense block on the even global-flip sector, built without the full
+    matrix.
+
+    The block is taken in the basis e_x = (|x> + |~x>)/sqrt(2), x < 2^(n-1),
+    where ~x reverses every spin. It holds the flip-symmetric eigenvectors,
+    the kernel among them, when the diagonal is flip-symmetric (every field
+    zero); otherwise the operator leaves the sector and this raises.
+    """
+    half = op.dim >> 1
+    if not np.array_equal(op.diag[:half], op.diag[::-1][:half]):
+        raise ValueError("operator diagonal is not symmetric under the global flip")
+    # Flipping the top spin maps e_x to e_{x ^ (half - 1)}: for n = 1 that is
+    # the diagonal, for n = 2 the flip of the low spin.
+    masks = [1 << b for b in range(op.n - 1)] + [half - 1]
+    return _dense(op.diag[:half], op.offdiag, masks)
+
+
+def _dense(diag: np.ndarray, offdiag: float, masks) -> np.ndarray:
+    """diag on the diagonal plus offdiag at (x, x ^ mask) for each mask."""
+    if diag.size > DENSE_LIMIT:
+        raise ValueError(f"dimension {diag.size} exceeds the dense limit {DENSE_LIMIT}")
+    m = np.diag(diag)
+    idx = np.arange(diag.size)
+    for mask in masks:
+        m[idx, idx ^ mask] += offdiag
     return m
 
 
@@ -136,5 +153,7 @@ def expectation(op: SboOperator | DiagonalOperator, psi: np.ndarray) -> float:
     return float(val.real)
 
 
-def sbo_eigendecomposition(op: SboOperator) -> EigenDecomposition:
-    return eigh(densify(op))
+def sbo_eigendecomposition(op: SboOperator, even: bool) -> EigenDecomposition:
+    """Eigendecomposition of the dense operator or, with `even`, of its
+    block on the even global-flip sector (`densify_even`)."""
+    return eigh(densify_even(op) if even else densify(op))

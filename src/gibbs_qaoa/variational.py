@@ -73,7 +73,7 @@ def tqa_schedule(p: int, dt: float = DEFAULT_DT) -> AngleSchedule:
     """Trotterized-annealing ramp: gamma_k = (k/p) dt, beta_k = (1 - k/p) dt."""
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"time step must be positive, got {dt}")
     k = np.arange(1, p + 1) / p
     return AngleSchedule(gamma=tuple(k * dt), beta=tuple((1.0 - k) * dt))

@@ -88,6 +88,13 @@ class TestUsageErrors:
         assert err.startswith("error:")
         assert "nan" not in out
 
+    @pytest.mark.parametrize("scheme", ["full", "linearized"])
+    def test_nan_time_step(self, capsys, scheme):
+        code, _, err = run_cli(capsys, "run", "--toy", "--method", "qaoa",
+                               "--scheme", scheme, "-p", "1", "--dt", "nan")
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_unreadable_instance(self, capsys):
         code, _, err = run_cli(capsys, "gibbs", "--instance", "/does/not/exist", "-T", "1")
         assert code == 1

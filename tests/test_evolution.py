@@ -174,8 +174,9 @@ class TestSboPhase:
     def test_kernel_state_probabilities_unchanged(self):
         # With no couplings or fields, |+> spans the kernel of H_S(T) and is
         # an eigenstate of the mixer; n = 1 takes the dense mixer step and
-        # FUSED_MAX_SPINS + 1 the butterfly one.
-        for n in (1, FUSED_MAX_SPINS + 1):
+        # FUSED_MAX_SPINS + 2 the butterfly one (a field-free instance carries
+        # half the amplitudes).
+        for n in (1, FUSED_MAX_SPINS + 2):
             sim = CircuitSimulator(IsingInstance(n=n), CostKind.sbo(1.0))
             psi = sim.run_angles([0.0, 1.234], [0.0, 0.7])
             assert np.abs(probabilities(psi) - 2.0 ** -n).max() <= 1e-12
@@ -243,5 +244,38 @@ def test_fast_paths_match_dense_reference(n, data):
 
     psi_ref, obj_ref = dense_reference(h_cost, n, gammas, betas)
     sim = CircuitSimulator(inst, kind)
+    assert np.abs(sim.run_angles(gammas, betas) - psi_ref).max() <= 1e-10
+    assert abs(sim.objective_angles(gammas, betas) - obj_ref) <= 1e-10
+
+
+# The field-free case, which the simulator propagates in the even
+# global-flip sector of 2^(n-1) amplitudes, against the same full-space
+# dense reference; both costs take the dense-transform mixer step up to
+# n = FUSED_MAX_SPINS + 1 and the butterfly step at n = 10.
+@pytest.mark.parametrize("n", range(2, 11))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_even_sector_matches_dense_reference(n, data):
+    assert 1 <= FUSED_MAX_SPINS < 9
+    couplings = {}
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        value = data.draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        if value:
+            couplings[pair] = value
+    inst = IsingInstance(n=n, couplings=couplings)
+    if data.draw(st.booleans(), label="sbo"):
+        kind = CostKind.sbo(data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+        h_cost = densify(build_sbo(inst, kind.temperature))
+    else:
+        kind = CostKind.classical()
+        h_cost = np.diag(energy_table(inst))
+    p = data.draw(st.integers(1, 6), label="p")
+    angle = st.floats(-2.0, 2.0, allow_nan=False)
+    gammas = np.array([data.draw(angle) for _ in range(p)])
+    betas = np.array([data.draw(angle) for _ in range(p)])
+
+    psi_ref, obj_ref = dense_reference(h_cost, n, gammas, betas)
+    sim = CircuitSimulator(inst, kind)
+    assert sim.sector
     assert np.abs(sim.run_angles(gammas, betas) - psi_ref).max() <= 1e-10
     assert abs(sim.objective_angles(gammas, betas) - obj_ref) <= 1e-10

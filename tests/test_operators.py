@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from gibbs_qaoa.eigensolver import eigh
-from gibbs_qaoa.ising import IsingInstance, gibbs_amplitudes, toy_instance
+from gibbs_qaoa.ising import IsingInstance, energy_table, gibbs_amplitudes, toy_instance
 from gibbs_qaoa.operators import (
+    DiagonalOperator,
     alpha,
     apply_operator,
     build_sbo,
     densify,
+    densify_even,
     expectation,
-    ising_diagonal,
     local_diagonal,
 )
 
@@ -43,7 +44,7 @@ class TestLocalDiagonal:
         # summing H_i double counts every bond and counts each field once
         inst = toy_instance()
         total = sum(local_diagonal(inst, i).diag for i in range(1, 6))
-        assert np.allclose(total, 2.0 * ising_diagonal(inst).diag)
+        assert np.allclose(total, 2.0 * energy_table(inst))
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -151,9 +152,26 @@ class TestBuildSbo:
         assert np.abs(op @ perm - perm @ op).max() <= 1e-12
 
 
+class TestDensifyEven:
+    @pytest.mark.parametrize("inst", [
+        IsingInstance(n=1), IsingInstance(n=2, couplings={(1, 2): -1.0}), toy_instance()])
+    def test_matches_projected_dense_form(self, inst):
+        # columns e_x = (|x> + |~x>)/sqrt(2) for x < 2^(n-1)
+        cols = np.arange(inst.dim // 2)
+        e = np.zeros((inst.dim, cols.size))
+        e[cols, cols] = e[cols ^ (inst.dim - 1), cols] = 0.5 ** 0.5
+        op = build_sbo(inst, 0.8)
+        assert np.abs(densify_even(op) - e.T @ densify(op) @ e).max() <= 1e-14
+
+    def test_rejects_fields(self):
+        inst = IsingInstance(n=3, couplings={(1, 2): 1.0}, fields=(0.0, 0.5, 0.0))
+        with pytest.raises(ValueError, match="global flip"):
+            densify_even(build_sbo(inst, 1.0))
+
+
 class TestDensifyAndExpectation:
     def test_densify_diagonal(self):
-        m = densify(ising_diagonal(toy_instance()))
+        m = densify(DiagonalOperator(energy_table(toy_instance())))
         assert np.array_equal(m, np.diag(np.diag(m)))
 
     def test_densify_symmetric_exactly(self):
@@ -169,7 +187,7 @@ class TestDensifyAndExpectation:
     def test_expectation_ground_energy(self):
         psi = np.zeros(32, dtype=complex)
         psi[ALL_UP] = 1.0
-        assert expectation(ising_diagonal(toy_instance()), psi) == -4.0
+        assert expectation(DiagonalOperator(energy_table(toy_instance())), psi) == -4.0
 
     def test_expectation_kernel_state(self):
         inst = toy_instance()
@@ -178,8 +196,8 @@ class TestDensifyAndExpectation:
 
     def test_expectation_plus_state(self):
         psi = np.full(32, 32 ** -0.5, dtype=complex)
-        assert expectation(ising_diagonal(toy_instance()), psi) == pytest.approx(0.0, abs=1e-12)
+        assert expectation(DiagonalOperator(energy_table(toy_instance())), psi) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(ising_diagonal(toy_instance()), np.ones(8, dtype=complex))
+            expectation(DiagonalOperator(energy_table(toy_instance())), np.ones(8, dtype=complex))

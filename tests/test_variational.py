@@ -65,6 +65,8 @@ class TestSchedules:
             tqa_schedule(0)
         with pytest.raises(ValueError):
             tqa_schedule(3, dt=0.0)
+        with pytest.raises(ValueError):
+            tqa_schedule(3, dt=float("nan"))
 
     def test_schedule_from_params(self):
         s = QaoaProblem(toy_instance(), CostKind.classical(), "full", 2).schedule(
