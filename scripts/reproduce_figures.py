@@ -28,7 +28,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--quick", action="store_true", help="reduced depth grid")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--budget-s", type=float, default=300.0)
+    parser.add_argument("--budget-s", type=float, default=None,
+                        help="wall-clock safety net per point in seconds "
+                             "(default: none; evaluation caps bound each point)")
     args = parser.parse_args(argv)
 
     cfg = SweepConfig(

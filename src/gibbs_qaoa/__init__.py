@@ -26,31 +26,24 @@ from .ising import (
     toy_instance,
 )
 from .metrics import (
-    FairnessReport,
     fairness_gap,
-    fairness_report,
     ground_state_probability,
     orbit_probabilities,
     total_variation_distance,
 )
 from .operators import (
-    DiagonalOperator,
     SboOperator,
     alpha,
     apply_operator,
     build_sbo,
     densify,
-    expectation,
     local_diagonal,
 )
 from .powell import ObjectiveError, OptResult, PowellOptions, powell_minimize
 from .variational import (
     AngleSchedule,
-    LinearParams,
     QaoaProblem,
-    linear_to_schedule,
     optimize_qaoa,
-    tqa_linear_init,
     tqa_schedule,
 )
 

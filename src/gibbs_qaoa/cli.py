@@ -61,12 +61,12 @@ def _resolve_instance(args) -> tuple[IsingInstance, str]:
 # key in a config file.
 OPTIMIZER_FLAGS = {
     "dt": (float, 1.0, "annealing-ramp time step"),
-    "ftol": (float, 1e-10, None),
-    "xtol": (float, 1e-8, None),
-    "max_iterations": (int, 100, None),
-    "max_evaluations": (int, 200_000, None),
-    "initial_step": (float, 0.1, None),
-    "budget_s": (float, 300.0, "wall-clock budget per point (seconds, default 300)"),
+    "ftol": (float, PowellOptions.ftol, None),
+    "xtol": (float, PowellOptions.xtol, None),
+    "max_iterations": (int, PowellOptions.max_iterations, None),
+    "max_evaluations": (int, PowellOptions.max_evaluations, None),
+    "budget_s": (float, None, "wall-clock safety net per point in seconds "
+                              "(default: none; evaluation caps bound each point)"),
     "restarts": (int, 0, "extra perturbed starts per point"),
     "seed": (int, 0, None),
 }
@@ -78,14 +78,17 @@ def _add_optimizer_flags(p: _Parser, with_defaults: bool = True) -> None:
                        default=default if with_defaults else None, help=help_text)
 
 
-def _optimizer_from_args(args) -> PowellOptions:
-    return PowellOptions(
-        ftol=args.ftol,
-        xtol=args.xtol,
-        max_iterations=args.max_iterations,
-        max_evaluations=args.max_evaluations,
-        initial_step=args.initial_step,
-    )
+def _optimizer_settings(value) -> dict:
+    """SweepConfig keywords from the optimizer flags; `value(name)` reads one
+    flag. The flags that are not SweepConfig fields are PowellOptions fields."""
+    v = {name: value(name) for name in OPTIMIZER_FLAGS}
+    return {
+        "dt": v.pop("dt"),
+        "point_budget_s": v.pop("budget_s"),
+        "restarts": v.pop("restarts"),
+        "seed": v.pop("seed"),
+        "optimizer": PowellOptions(**v),
+    }
 
 
 def build_parser() -> _Parser:
@@ -156,12 +159,8 @@ def cmd_run(args) -> int:
         schemes=(args.scheme,),
         depths=(args.depth,),
         temperatures=temps,
-        dt=args.dt,
-        optimizer=_optimizer_from_args(args),
-        point_budget_s=args.budget_s,
-        restarts=args.restarts,
-        seed=args.seed,
         workers=1,
+        **_optimizer_settings(lambda name: getattr(args, name)),
     )
     point = harness.PointSpec(
         args.method, args.scheme, args.depth,
@@ -221,13 +220,6 @@ def _sweep_config(args) -> harness.SweepConfig:
         cast, default, _ = OPTIMIZER_FLAGS[name]
         return pick(getattr(args, name), name, lambda v: cast(v[0]), default)
 
-    optimizer = PowellOptions(
-        ftol=scalar("ftol"),
-        xtol=scalar("xtol"),
-        max_iterations=scalar("max_iterations"),
-        max_evaluations=scalar("max_evaluations"),
-        initial_step=scalar("initial_step"),
-    )
     return harness.SweepConfig(
         instance=inst,
         instance_label=instance_src,
@@ -235,11 +227,7 @@ def _sweep_config(args) -> harness.SweepConfig:
         schemes=schemes,
         depths=depths,
         temperatures=temps,
-        dt=scalar("dt"),
-        optimizer=optimizer,
-        point_budget_s=scalar("budget_s"),
-        restarts=scalar("restarts"),
-        seed=scalar("seed"),
+        **_optimizer_settings(scalar),
         workers=args.workers if args.workers is not None else (
             int(file_vals["workers"][0]) if "workers" in file_vals else None),
     )

@@ -46,7 +46,7 @@ class SweepConfig:
     temperatures: tuple[float, ...] = DEFAULT_TEMPERATURES
     dt: float = 1.0
     optimizer: PowellOptions = field(default_factory=PowellOptions)
-    point_budget_s: float | None = 300.0
+    point_budget_s: float | None = None  # wall-clock safety net per point
     restarts: int = 0
     seed: int = 0
     workers: int | None = None
@@ -205,6 +205,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRecord], list[SweepFailure]]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -212,43 +214,16 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-def _extra_tvd_columns(records) -> list[float]:
-    temps = sorted({t for r in records for (t, _) in r.tvd_by_temperature})
-    return temps
-
-
-def csv_header(records) -> list[str]:
-    return list(CSV_BASE_COLUMNS) + [f"tvd_T{t!r}" for t in _extra_tvd_columns(records)]
-
-
-def record_row(record: SweepRecord, extra_temps) -> list[str]:
-    orbit = list(record.orbit_probs[:3]) + [None] * (3 - len(record.orbit_probs[:3]))
-    cells = [
-        record.method,
-        record.scheme,
-        str(record.p),
-        _fmt(record.temperature),
-        _fmt(record.objective),
-        _fmt(record.p_gs),
-        _fmt(orbit[0]),
-        _fmt(orbit[1]),
-        _fmt(orbit[2]),
-        _fmt(record.fairness_gap),
-        _fmt(record.tvd),
-        str(record.n_evaluations),
-        _fmt(record.converged),
-        _fmt(record.wall_time_s),
-    ]
-    by_t = dict(record.tvd_by_temperature)
-    cells += [_fmt(by_t.get(t)) for t in extra_temps]
-    return cells
-
-
 def emit_csv(records: list[SweepRecord], path) -> None:
-    extra = _extra_tvd_columns(records)
-    lines = [",".join(csv_header(records))]
+    """One row per record: the `record_to_dict` values under CSV_BASE_COLUMNS
+    plus one distance column per temperature of the classical rows; a value
+    a record lacks is a blank cell."""
+    temps = sorted({t for r in records for (t, _) in r.tvd_by_temperature})
+    columns = list(CSV_BASE_COLUMNS) + [f"tvd_T{t!r}" for t in temps]
+    lines = [",".join(columns)]
     for r in records:
-        lines.append(",".join(record_row(r, extra)))
+        d = record_to_dict(r)
+        lines.append(",".join(_fmt(d.get(c)) for c in columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

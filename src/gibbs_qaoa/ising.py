@@ -93,17 +93,6 @@ def spins_of(index: int, n: int) -> tuple[int, ...]:
     return tuple(1 if (index >> b) & 1 else -1 for b in range(n))
 
 
-def index_of_spins(spins) -> int:
-    """Inverse of `spins_of`."""
-    idx = 0
-    for b, s in enumerate(spins):
-        if s not in (1, -1):
-            raise ValueError(f"spin values must be +1/-1, got {s}")
-        if s == 1:
-            idx |= 1 << b
-    return idx
-
-
 def flip_all(index: int, n: int) -> int:
     """Index of the configuration with every spin reversed."""
     return index ^ ((1 << n) - 1)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ising import GroundSet
@@ -38,32 +36,3 @@ def total_variation_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"distribution shapes differ: {a.shape} vs {b.shape}")
     return float(0.5 * np.abs(a - b).sum())
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    """Ground-manifold summary of one measurement distribution."""
-
-    p_gs: float
-    orbit_probs: tuple[float, ...]
-    fairness_gap: float
-    tvd: float | None  # to a reference distribution, when one was given
-
-    @property
-    def max_orbit_deviation(self) -> float:
-        """Largest |P_i - P_GS / m| over the m orbits."""
-        m = len(self.orbit_probs)
-        share = self.p_gs / m
-        return max(abs(p - share) for p in self.orbit_probs)
-
-
-def fairness_report(
-    dist: np.ndarray, gs: GroundSet, reference: np.ndarray | None = None
-) -> FairnessReport:
-    orbit_probs = orbit_probabilities(dist, gs)
-    return FairnessReport(
-        p_gs=ground_state_probability(dist, gs),
-        orbit_probs=orbit_probs,
-        fairness_gap=fairness_gap(orbit_probs),
-        tvd=None if reference is None else total_variation_distance(dist, reference),
-    )

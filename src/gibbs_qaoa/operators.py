@@ -1,6 +1,6 @@
-"""Cost operators: the diagonal Ising operator, its single-spin local terms,
-and the structured Gibbs-encoding cost operator (scaled diagonal plus a
-constant coupling on every single-flip pair).
+"""Cost operators: the single-spin local terms of the Ising energy and the
+structured Gibbs-encoding cost operator (scaled diagonal plus a constant
+coupling on every single-flip pair).
 """
 
 from __future__ import annotations
@@ -13,17 +13,6 @@ from .eigensolver import EigenDecomposition, eigh
 from .ising import IsingInstance, spin_table
 
 DENSE_LIMIT = 1 << 14
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Operator diagonal in the computational basis."""
-
-    diag: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
 
 
 @dataclass(frozen=True)
@@ -47,7 +36,7 @@ class SboOperator:
         return 1 << self.n
 
 
-def local_diagonal(inst: IsingInstance, i: int) -> DiagonalOperator:
+def local_diagonal(inst: IsingInstance, i: int) -> np.ndarray:
     """Diagonal of the terms involving spin i:
     -s_i (sum_j J_ij s_j + h_i)."""
     if not (1 <= i <= inst.n):
@@ -60,7 +49,7 @@ def local_diagonal(inst: IsingInstance, i: int) -> DiagonalOperator:
     h = inst.fields[i - 1]
     if h != 0:
         acc -= h * s[:, i - 1]
-    return DiagonalOperator(diag=acc)
+    return acc
 
 
 def alpha(inst: IsingInstance) -> float:
@@ -70,7 +59,7 @@ def alpha(inst: IsingInstance) -> float:
     states.
     """
     return max(
-        float(np.abs(local_diagonal(inst, i).diag).max()) for i in range(1, inst.n + 1)
+        float(np.abs(local_diagonal(inst, i)).max()) for i in range(1, inst.n + 1)
     )
 
 
@@ -85,7 +74,7 @@ def build_sbo(inst: IsingInstance, temperature: float) -> SboOperator:
     a = alpha(inst)
     diag = np.zeros(inst.dim)
     for i in range(1, inst.n + 1):
-        diag += np.exp((local_diagonal(inst, i).diag - a) / temperature)
+        diag += np.exp((local_diagonal(inst, i) - a) / temperature)
     return SboOperator(
         n=inst.n,
         temperature=float(temperature),
@@ -95,10 +84,8 @@ def build_sbo(inst: IsingInstance, temperature: float) -> SboOperator:
     )
 
 
-def densify(op: SboOperator | DiagonalOperator) -> np.ndarray:
+def densify(op: SboOperator) -> np.ndarray:
     """Dense symmetric matrix form, for eigendecomposition and oracles."""
-    if isinstance(op, DiagonalOperator):
-        return _dense(op.diag, 0.0, ())
     return _dense(op.diag, op.offdiag, [1 << b for b in range(op.n)])
 
 
@@ -131,26 +118,15 @@ def _dense(diag: np.ndarray, offdiag: float, masks) -> np.ndarray:
     return m
 
 
-def apply_operator(op: SboOperator | DiagonalOperator, psi: np.ndarray) -> np.ndarray:
+def apply_operator(op: SboOperator, psi: np.ndarray) -> np.ndarray:
     """Matrix-vector product using the structure, no densification."""
     if psi.shape[0] != op.dim:
         raise ValueError(f"state dimension {psi.shape[0]} != operator dimension {op.dim}")
     out = op.diag * psi
-    if isinstance(op, SboOperator):
-        for b in range(op.n):
-            flipped = psi.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(psi.shape)
-            out = out + op.offdiag * flipped
+    for b in range(op.n):
+        flipped = psi.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(psi.shape)
+        out = out + op.offdiag * flipped
     return out
-
-
-def expectation(op: SboOperator | DiagonalOperator, psi: np.ndarray) -> float:
-    """Real quadratic form <psi|op|psi> for a normalized state."""
-    if psi.shape[0] != op.dim:
-        raise ValueError(f"state dimension {psi.shape[0]} != operator dimension {op.dim}")
-    val = np.vdot(psi, apply_operator(op, psi))
-    if abs(val.imag) > 1e-10:
-        raise AssertionError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
 
 
 def sbo_eigendecomposition(op: SboOperator, even: bool) -> EigenDecomposition:

@@ -15,6 +15,7 @@ import numpy as np
 _GOLD = 1.618034
 _TINY = 1e-21
 _CGOLD = 0.3819660112501051
+_INITIAL_STEP = 0.1  # first bracketing step along a direction
 
 
 class ObjectiveError(RuntimeError):
@@ -32,7 +33,6 @@ class PowellOptions:
     xtol: float = 1e-8             # line-search position tolerance
     max_iterations: int = 100      # direction-set cycles
     max_evaluations: int = 200_000
-    initial_step: float = 0.1      # first bracketing step along a direction
     time_budget: float | None = None  # wall seconds; None = unbounded
 
 
@@ -187,7 +187,7 @@ def powell_minimize(func, x0, options: PowellOptions | None = None) -> OptResult
     def line_min(x, direction, fx):
         def f1d(t):
             return f(x + t * direction)
-        xa, xb, xc, fa, fb, fc = bracket_minimum(f1d, 0.0, opts.initial_step)
+        xa, xb, xc, fa, fb, fc = bracket_minimum(f1d, 0.0, _INITIAL_STEP)
         t_best, f_best = brent_minimum(f1d, xa, xb, xc, fb, xtol=opts.xtol)
         if f_best < fx:
             return x + t_best * direction, f_best, t_best * direction

@@ -8,7 +8,7 @@ of k/p).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,27 +48,6 @@ class AngleSchedule:
         return np.concatenate([self.gamma, self.beta])
 
 
-@dataclass(frozen=True)
-class LinearParams:
-    """gamma_k = gamma_slope * k/p + gamma_intcp, and likewise for beta."""
-
-    gamma_slope: float
-    gamma_intcp: float
-    beta_slope: float
-    beta_intcp: float
-
-    def to_vector(self) -> np.ndarray:
-        return np.array(
-            [self.gamma_slope, self.gamma_intcp, self.beta_slope, self.beta_intcp]
-        )
-
-    @classmethod
-    def from_vector(cls, v) -> "LinearParams":
-        if len(v) != 4:
-            raise ValueError(f"linear parameters need 4 entries, got {len(v)}")
-        return cls(*(float(x) for x in v))
-
-
 def tqa_schedule(p: int, dt: float = DEFAULT_DT) -> AngleSchedule:
     """Trotterized-annealing ramp: gamma_k = (k/p) dt, beta_k = (1 - k/p) dt."""
     if p < 1:
@@ -77,21 +56,6 @@ def tqa_schedule(p: int, dt: float = DEFAULT_DT) -> AngleSchedule:
         raise ValueError(f"time step must be positive, got {dt}")
     k = np.arange(1, p + 1) / p
     return AngleSchedule(gamma=tuple(k * dt), beta=tuple((1.0 - k) * dt))
-
-
-def tqa_linear_init(dt: float = DEFAULT_DT) -> LinearParams:
-    """Linear parameters whose schedule equals tqa_schedule(p, dt) for any p."""
-    return LinearParams(gamma_slope=dt, gamma_intcp=0.0, beta_slope=-dt, beta_intcp=dt)
-
-
-def linear_to_schedule(lp: LinearParams, p: int) -> AngleSchedule:
-    if p < 1:
-        raise ValueError(f"depth must be >= 1, got {p}")
-    k = np.arange(1, p + 1) / p
-    return AngleSchedule(
-        gamma=tuple(lp.gamma_slope * k + lp.gamma_intcp),
-        beta=tuple(lp.beta_slope * k + lp.beta_intcp),
-    )
 
 
 class QaoaProblem:
@@ -114,6 +78,12 @@ class QaoaProblem:
         self._k = np.arange(1, p + 1) / p
 
     def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-layer (gammas, betas) of a parameter vector.
+
+        Full scheme: the 2p angles, gammas first. Linearized scheme:
+        (gamma slope, gamma intercept, beta slope, beta intercept), with
+        gamma_k = slope * k/p + intercept and likewise for beta.
+        """
         params = np.asarray(params, dtype=float)
         if self.scheme == "full":
             if params.size != 2 * self.p:
@@ -148,8 +118,9 @@ def init_scale(kind: CostKind, alpha_value: float) -> float:
 
 def linearized_init_battery(
     kind: CostKind, dt: float = DEFAULT_DT, alpha_value: float = 0.0
-) -> list[LinearParams]:
-    """Deterministic starting points for linearized runs.
+) -> np.ndarray:
+    """Deterministic starting points for linearized runs, one per row:
+    (gamma slope, gamma intercept, beta slope, beta intercept).
 
     The ramp image of the annealing schedule, at a geometric ladder of
     cost-angle scales and two mixer-angle scales, in both mixer-sign
@@ -164,9 +135,9 @@ def linearized_init_battery(
     inits = []
     for kappa in kappas:
         for mu in (1.0, 0.25):
-            inits.append(LinearParams(kappa * dt, 0.0, -mu * dt, mu * dt))
-            inits.append(LinearParams(kappa * dt, 0.0, mu * dt, -mu * dt))
-    return inits
+            inits.append((kappa * dt, 0.0, -mu * dt, mu * dt))
+            inits.append((kappa * dt, 0.0, mu * dt, -mu * dt))
+    return np.array(inits)
 
 
 @dataclass
@@ -214,7 +185,7 @@ def optimize_qaoa(
         if scale != 1.0:
             starts.insert(0, np.concatenate([scale * ramp[:p], ramp[p:]]))
     else:
-        starts = [lp.to_vector() for lp in linearized_init_battery(kind, dt, a)]
+        starts = list(linearized_init_battery(kind, dt, a))
     if restarts > 0:
         rng = np.random.default_rng(seed)
         base = starts[0]
@@ -234,14 +205,7 @@ def optimize_qaoa(
             remaining = deadline - time.perf_counter()
             if best is not None and remaining <= 0:
                 break
-            run_opts = PowellOptions(
-                ftol=opts.ftol,
-                xtol=opts.xtol,
-                max_iterations=opts.max_iterations,
-                max_evaluations=opts.max_evaluations,
-                initial_step=opts.initial_step,
-                time_budget=max(remaining, 1e-3),
-            )
+            run_opts = replace(opts, time_budget=max(remaining, 1e-3))
         n_started += 1
         result = powell_minimize(problem.objective, x0, run_opts)
         total_evals += result.n_evaluations

@@ -14,7 +14,7 @@ from gibbs_qaoa.harness import (
     run_point,
     run_sweep,
 )
-from gibbs_qaoa.ising import toy_instance
+from gibbs_qaoa.ising import IsingInstance, toy_instance
 from gibbs_qaoa.powell import PowellOptions
 
 FAST_OPTIMIZER = PowellOptions(max_iterations=8, max_evaluations=3000)
@@ -41,6 +41,10 @@ class TestGrid:
         cfg = SweepConfig(instance=toy_instance())
         # 12 depths x (2 classical schemes + 2 schemes x 3 temperatures)
         assert len(grid_points(cfg)) == 96
+
+    def test_default_has_no_wall_clock_budget(self):
+        # evaluation caps bound a point, so records do not depend on machine speed
+        assert SweepConfig(instance=toy_instance()).point_budget_s is None
 
     def test_empty_methods_rejected(self):
         cfg = fast_config(methods=())
@@ -151,6 +155,21 @@ class TestSerialization:
         assert qaoa_row[10] == "" and qaoa_row[14] != ""
         sbo_rows = [l.split(",") for l in lines[1:] if l.startswith("sbo")]
         assert all(row[10] != "" and row[14] == "" for row in sbo_rows)
+
+    def test_csv_blank_orbit_cells_without_orbits(self, tmp_path):
+        # a field breaks the global flip symmetry: no orbits, blank p_orbit cells
+        inst = IsingInstance(n=2, couplings={(1, 2): 1.0}, fields=(0.5, 0.0))
+        cfg = fast_config(instance=inst, methods=("qaoa",), schemes=("full",),
+                          depths=(1,), point_budget_s=None)
+        record = run_point(cfg, PointSpec("qaoa", "full", 1, None))
+        assert record.orbit_probs == ()
+        path = tmp_path / "out.csv"
+        emit_csv([record], path)
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        cells = dict(zip(header, row, strict=True))
+        assert [cells[f"p_orbit{i}"] for i in (1, 2, 3)] == ["", "", ""]
+        assert cells["fairness_gap"] == "0"
+        assert float(cells["p_gs"]) == pytest.approx(record.p_gs, rel=1e-11)
 
     def test_json_round_trip(self, small_table, tmp_path):
         path = tmp_path / "out.json"

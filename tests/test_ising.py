@@ -15,7 +15,6 @@ from gibbs_qaoa.ising import (
     gibbs_amplitudes,
     gibbs_distribution,
     ground_set,
-    index_of_spins,
     index_to_ket,
     ket_to_index,
     parse_instance,
@@ -31,7 +30,6 @@ GIBBS_Z_T1 = 391.89392508953597
 
 def test_bit_convention():
     assert spins_of(0b00001, 5) == (1, -1, -1, -1, -1)
-    assert index_of_spins((1, -1, -1, -1, -1)) == 1
     assert ket_to_index("↑↑↑↓↓") == 7
     assert index_to_ket(7, 5) == "↑↑↑↓↓"
     assert flip_all(7, 5) == 24

@@ -13,7 +13,6 @@ from gibbs_qaoa.ising import (
 )
 from gibbs_qaoa.metrics import (
     fairness_gap,
-    fairness_report,
     ground_state_probability,
     orbit_probabilities,
     total_variation_distance,
@@ -137,12 +136,14 @@ def test_orbit_members_carry_equal_probability(toy_gs):
 
 def test_fairness_report(toy_gs):
     dist = gibbs_distribution(toy_instance(), 1.0).probabilities
-    report = fairness_report(dist, toy_gs, reference=np.full(32, 1 / 32))
-    assert report.p_gs == pytest.approx(GIBBS_PGS_T1, abs=1e-12)
-    assert sum(report.orbit_probs) == pytest.approx(report.p_gs, abs=1e-12)
-    assert report.fairness_gap <= 1e-15
-    assert report.tvd == pytest.approx(TVD_UNIFORM_GIBBS_T1, abs=1e-12)
-    assert report.max_orbit_deviation <= 1e-15
+    p_gs = ground_state_probability(dist, toy_gs)
+    orbit_probs = orbit_probabilities(dist, toy_gs)
+    assert p_gs == pytest.approx(GIBBS_PGS_T1, abs=1e-12)
+    assert sum(orbit_probs) == pytest.approx(p_gs, abs=1e-12)
+    assert fairness_gap(orbit_probs) <= 1e-15
+    assert total_variation_distance(dist, np.full(32, 1 / 32)) == pytest.approx(
+        TVD_UNIFORM_GIBBS_T1, abs=1e-12)
+    assert max(abs(p - p_gs / 3) for p in orbit_probs) <= 1e-15
 
 
 def test_fairness_gap_convention():

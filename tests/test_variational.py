@@ -7,15 +7,17 @@ from gibbs_qaoa.operators import alpha
 from gibbs_qaoa.powell import PowellOptions, powell_minimize
 from gibbs_qaoa.variational import (
     AngleSchedule,
-    LinearParams,
     QaoaProblem,
     init_scale,
-    linear_to_schedule,
     linearized_init_battery,
     optimize_qaoa,
-    tqa_linear_init,
     tqa_schedule,
 )
+
+
+def linearized(params, p):
+    """Schedule of a linearized parameter vector at depth p."""
+    return QaoaProblem(toy_instance(), CostKind.classical(), "linearized", p).schedule(params)
 
 
 class TestSchedules:
@@ -35,23 +37,24 @@ class TestSchedules:
         assert s.beta == (1.5, 1.0, 0.5, 0.0)
 
     def test_linear_reproduces_tqa(self):
-        s = linear_to_schedule(LinearParams(1.0, 0.0, -1.0, 1.0), 2)
+        s = linearized([1.0, 0.0, -1.0, 1.0], 2)
         assert s.gamma == (0.5, 1.0)
         assert s.beta == (0.5, 0.0)
 
     def test_linear_constant(self):
-        s = linear_to_schedule(LinearParams(0.0, 0.4, 0.0, -0.2), 3)
+        s = linearized([0.0, 0.4, 0.0, -0.2], 3)
         assert s.gamma == (0.4, 0.4, 0.4)
         assert s.beta == (-0.2, -0.2, -0.2)
 
     def test_linear_ramp(self):
-        s = linear_to_schedule(LinearParams(2.0, 1.0, 0.0, 0.0), 4)
+        s = linearized([2.0, 1.0, 0.0, 0.0], 4)
         assert s.gamma == (1.5, 2.0, 2.5, 3.0)
 
     def test_init_equivalence_exact(self):
         for p in (1, 2, 5, 17, 100):
             for dt in (1.0, 0.5, 2.0):
-                image = linear_to_schedule(tqa_linear_init(dt), p)
+                # the battery's first start is the annealing ramp's image
+                image = linearized(linearized_init_battery(CostKind.classical(), dt)[0], p)
                 direct = tqa_schedule(p, dt)
                 assert image.gamma == direct.gamma
                 assert image.beta == direct.beta
@@ -147,16 +150,16 @@ class TestOptimizeQaoa:
 
     def test_linearized_battery_deterministic(self):
         battery = linearized_init_battery(CostKind.sbo(1.0), alpha_value=4.0)
-        assert battery == linearized_init_battery(CostKind.sbo(1.0), alpha_value=4.0)
-        assert battery[0] == LinearParams(1.0, 0.0, -1.0, 1.0)
-        scales = {lp.gamma_slope for lp in battery}
-        assert scales == {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}
-        assert len(battery) == 24
+        assert np.array_equal(
+            battery, linearized_init_battery(CostKind.sbo(1.0), alpha_value=4.0))
+        assert np.array_equal(battery[0], [1.0, 0.0, -1.0, 1.0])
+        assert set(battery[:, 0]) == {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}
+        assert battery.shape == (24, 4)
 
     def test_classical_battery_is_small(self):
         battery = linearized_init_battery(CostKind.classical())
         assert len(battery) == 4
-        assert all(lp.gamma_slope == 1.0 for lp in battery)
+        assert all(battery[:, 0] == 1.0)
 
     def test_restarts_are_deterministic(self):
         a = optimize_qaoa(toy_instance(), CostKind.classical(), "full", 1,
