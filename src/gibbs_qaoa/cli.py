@@ -174,6 +174,10 @@ def cmd_run(args) -> int:
     return 0
 
 
+# Config-file keys besides the OPTIMIZER_FLAGS names.
+SWEEP_KEYS = ("instance", "methods", "schemes", "depths", "temperatures", "workers")
+
+
 def _parse_config_file(path) -> dict:
     values: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -184,7 +188,10 @@ def _parse_config_file(path) -> dict:
             tokens = line.split()
             if len(tokens) < 2:
                 raise ValueError(f"config line {lineno}: expected '<key> <value...>'")
-            values[tokens[0].lower()] = tokens[1:]
+            key = tokens[0].lower()
+            if key not in SWEEP_KEYS and key not in OPTIMIZER_FLAGS:
+                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            values[key] = tokens[1:]
     return values
 
 

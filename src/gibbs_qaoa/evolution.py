@@ -16,7 +16,7 @@ even global-flip sector, half the amplitudes (see CircuitSimulator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -26,13 +26,16 @@ from .operators import build_sbo, sbo_eigendecomposition
 
 # Up to 2^FUSED_MAX_SPINS carried amplitudes (this many spins, one more in
 # the even sector) the mixer step is two dense products with the
-# cost-eigenbasis -> Hadamard transform; above, per-spin butterflies in the
-# computational basis. Per layer at p = 100 (one BLAS thread), dense vs
-# butterfly with fields: 71 vs 127 us at n = 8 and 429 vs 112 us at n = 9
-# on the classical cost, 108 vs 184 and 404 vs 260 us on the sbo cost;
-# without fields: 81 vs 136 us at n = 9 and 455 vs 141 us at n = 10 on the
-# classical cost, 90 vs 146 and 471 vs 363 us on the sbo cost.
-FUSED_MAX_SPINS = 8
+# cost-eigenbasis -> Hadamard transform; above, the dense spin blocks of
+# apply_mixer in the computational basis. Per layer at p = 100 (one BLAS
+# thread), fused vs blocks at 2^7 and 2^8 carried amplitudes: with fields,
+# 18 vs 30 and 68 vs 25 us on the classical cost, 22 vs 52 and 74 vs 69 us
+# on the sbo cost; without fields, 14 vs 28 and 76 vs 40 us on the
+# classical cost, 17 vs 56 and 64 vs 59 us on the sbo cost.
+FUSED_MAX_SPINS = 7
+
+# Widest spin group apply_mixer treats as one dense block (32 x 32).
+_BLOCK_SPINS = 5
 
 
 @dataclass(frozen=True)
@@ -74,23 +77,40 @@ def probabilities(psi: np.ndarray) -> np.ndarray:
 
 
 def apply_mixer(psi: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i beta sum_i sigma_x^i), one 2x2 rotation per spin.
+    """exp(-i beta sum_i sigma_x^i), as dense blocks of at most 5 spins.
 
-    For each spin the amplitude pair (a, b) on states differing in that
-    spin's bit maps to (a cos(beta) - i b sin(beta),
-    b cos(beta) - i a sin(beta)).
+    The operator is R^{(x)n} with R = exp(-i beta sigma_x). The n bits are
+    split into ceil(n / 5) near-equal groups (13 -> 5, 4, 4, the larger
+    ones lowest), and each group's R^{(x)k} is applied as one matrix
+    product over its k bits. Entry (i, j) of R^{(x)k} is
+    cos(beta)^(k - d) (-i sin(beta))^d with d = popcount(i ^ j); the block
+    is symmetric, so it multiplies from either side untransposed.
     """
     n = psi.shape[0].bit_length() - 1
-    c = np.cos(beta)
-    s = -1j * np.sin(beta)
-    out = psi.copy()
-    for b in range(n):
-        view = out.reshape(-1, 2, 1 << b)
-        lo = view[:, 0, :].copy()
-        hi = view[:, 1, :]
-        view[:, 0, :] = c * lo + s * hi
-        view[:, 1, :] = c * hi + s * lo
-    return out
+    if n == 0:
+        return psi.copy()
+    groups = -(-n // _BLOCK_SPINS)
+    q, extra = divmod(n, groups)
+    x = psi
+    below = 0  # bits under the current group
+    for k in [q + 1] * extra + [q] * (groups - extra):
+        d = np.arange(k + 1)
+        r = (np.cos(beta) ** (k - d) * (-1j * np.sin(beta)) ** d)[_hamming(k)]
+        if below == 0:
+            x = x.reshape(-1, 1 << k) @ r
+        else:
+            x = np.matmul(r, x.reshape(-1, 1 << k, 1 << below))
+        below += k
+    return x.reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _hamming(k: int) -> np.ndarray:
+    """popcount(i ^ j) for i, j < 2^k."""
+    idx = np.arange(1 << k)
+    d = np.bitwise_count(idx[:, None] ^ idx)
+    d.flags.writeable = False  # shared by every call
+    return d
 
 
 def _real_matmul(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -130,8 +150,8 @@ class CircuitSimulator:
     simulator then carries u = sqrt(2) psi[:2^(n-1)] in the basis
     e_x = (|x> + |~x>)/sqrt(2): V diagonalizes the cost operator's block on
     that sector, B keeps the even-parity Hadamard rows, and above the
-    threshold the mixer acts on the low n - 1 spins by butterflies and on
-    the top spin as u -> cos(beta) u - i sin(beta) reversed(u).
+    threshold the mixer acts on the low n - 1 spins by apply_mixer's dense
+    blocks and on the top spin as u -> cos(beta) u - i sin(beta) reversed(u).
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):

@@ -151,6 +151,16 @@ class TestSweep:
         assert len(data) == 1
         assert data[0]["method"] == "qaoa"
 
+    @pytest.mark.parametrize("key", ["max_evals", "depthz", "initial_step"])
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, key):
+        # typos, and initial_step, which the optimizer no longer takes
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"instance toy\nmax_iterations 4\n{key} 10\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        assert f"config line 3: unknown key '{key}'" in err
+        assert "completed" not in out
+
     def test_explicit_flag_beats_config_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("instance toy\ndt 2.0\nseed 5\nmax_iterations 4\n")

@@ -33,6 +33,23 @@ def random_state(rng, dim):
     return psi / np.linalg.norm(psi)
 
 
+def per_spin_mixer(psi, beta):
+    """exp(-i beta sum_i sigma_x^i), one 2x2 rotation per spin: the pair
+    (a, b) of amplitudes differing in one spin's bit maps to
+    (a cos(beta) - i b sin(beta), b cos(beta) - i a sin(beta))."""
+    n = psi.shape[0].bit_length() - 1
+    c = np.cos(beta)
+    s = -1j * np.sin(beta)
+    out = psi.copy()
+    for b in range(n):
+        view = out.reshape(-1, 2, 1 << b)
+        lo = view[:, 0, :].copy()
+        hi = view[:, 1, :]
+        view[:, 0, :] = c * lo + s * hi
+        view[:, 1, :] = c * hi + s * lo
+    return out
+
+
 class TestPlusState:
     def test_single_spin(self):
         assert np.allclose(plus_state(1), [2 ** -0.5, 2 ** -0.5])
@@ -74,6 +91,18 @@ class TestMixer:
                     * (decomp.eigenvectors.T @ psi)
                 )
                 assert np.abs(apply_mixer(psi, beta) - expected).max() <= 1e-12
+
+    # n = 0..13 covers one to three spin blocks, even and uneven splits.
+    @pytest.mark.parametrize("n", range(14))
+    def test_matches_per_spin_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        psi = random_state(rng, 1 << n)
+        kept = psi.copy()
+        for beta in (0.0, -0.3, 0.7, -1.9, np.pi / 2, 2.6):
+            out = apply_mixer(psi, beta)
+            assert out.shape == psi.shape
+            assert np.abs(out - per_spin_mixer(psi, beta)).max() <= 1e-12
+        assert np.array_equal(psi, kept)
 
     def test_hadamard_diagonalization(self):
         for n in (1, 2, 3, 5):
@@ -158,8 +187,7 @@ class TestSboPhase:
 
     def test_zero_angle_is_identity(self):
         # A layer with gamma = 0 must leave the state to the mixer alone; the
-        # toy instance takes the dense mixer step and the 9-spin chain the
-        # butterfly one.
+        # toy instance takes the dense mixer step and the chain the block one.
         chain = IsingInstance(
             n=FUSED_MAX_SPINS + 1,
             couplings={(i, i + 1): 1.0 for i in range(1, FUSED_MAX_SPINS + 1)},
@@ -174,7 +202,7 @@ class TestSboPhase:
     def test_kernel_state_probabilities_unchanged(self):
         # With no couplings or fields, |+> spans the kernel of H_S(T) and is
         # an eigenstate of the mixer; n = 1 takes the dense mixer step and
-        # FUSED_MAX_SPINS + 2 the butterfly one (a field-free instance carries
+        # FUSED_MAX_SPINS + 2 the block one (a field-free instance carries
         # half the amplitudes).
         for n in (1, FUSED_MAX_SPINS + 2):
             sim = CircuitSimulator(IsingInstance(n=n), CostKind.sbo(1.0))
@@ -217,7 +245,7 @@ def dense_reference(h_cost, n, gammas, betas):
 
 
 # n runs across FUSED_MAX_SPINS, so both the dense-transform path and the
-# butterfly path (with its real-matrix sbo phase) meet the reference.
+# block-mixer path (with its real-matrix sbo phase) meet the reference.
 @pytest.mark.parametrize("n", range(2, 11))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -251,7 +279,7 @@ def test_fast_paths_match_dense_reference(n, data):
 # The field-free case, which the simulator propagates in the even
 # global-flip sector of 2^(n-1) amplitudes, against the same full-space
 # dense reference; both costs take the dense-transform mixer step up to
-# n = FUSED_MAX_SPINS + 1 and the butterfly step at n = 10.
+# n = FUSED_MAX_SPINS + 1 and the block step above.
 @pytest.mark.parametrize("n", range(2, 11))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -279,3 +307,25 @@ def test_even_sector_matches_dense_reference(n, data):
     assert sim.sector
     assert np.abs(sim.run_angles(gammas, betas) - psi_ref).max() <= 1e-10
     assert abs(sim.objective_angles(gammas, betas) - obj_ref) <= 1e-10
+
+
+def test_even_sector_three_blocks_matches_full_space():
+    # Field-free n = 12 carries 2^11 amplitudes, which apply_mixer splits
+    # into three blocks (4, 4, 3); the reference propagates all 2^12
+    # amplitudes with the per-spin mixer.
+    n = 12
+    rng = np.random.default_rng(12)
+    couplings = {pair: float(rng.choice([-1.0, 1.0]))
+                 for pair in itertools.combinations(range(1, n + 1), 2)}
+    inst = IsingInstance(n=n, couplings=couplings)
+    gammas = rng.uniform(-1.5, 1.5, 5)
+    betas = rng.uniform(-1.5, 1.5, 5)
+    energies = energy_table(inst)
+    psi = plus_state(n)
+    for g, b in zip(gammas, betas):
+        psi = per_spin_mixer(np.exp(-1j * g * energies) * psi, b)
+
+    sim = CircuitSimulator(inst, CostKind.classical())
+    assert sim.sector and n - 1 > FUSED_MAX_SPINS
+    assert np.abs(sim.run_angles(gammas, betas) - psi).max() <= 1e-10
+    assert abs(sim.objective_angles(gammas, betas) - float(energies @ probabilities(psi))) <= 1e-10
