@@ -76,7 +76,7 @@ def probabilities(psi: np.ndarray) -> np.ndarray:
     return np.abs(psi) ** 2
 
 
-def apply_mixer(psi: np.ndarray, beta: float) -> np.ndarray:
+def apply_mixer(psi: np.ndarray, beta) -> np.ndarray:
     """exp(-i beta sum_i sigma_x^i), as dense blocks of at most 5 spins.
 
     The operator is R^{(x)n} with R = exp(-i beta sigma_x). The n bits are
@@ -85,23 +85,31 @@ def apply_mixer(psi: np.ndarray, beta: float) -> np.ndarray:
     product over its k bits. Entry (i, j) of R^{(x)k} is
     cos(beta)^(k - d) (-i sin(beta))^d with d = popcount(i ^ j); the block
     is symmetric, so it multiplies from either side untransposed.
+
+    psi may be a stack of states (..., 2^n) with one angle each in beta
+    (shape ...); every state gets its own products, so each row is exactly
+    what it would be alone.
     """
-    n = psi.shape[0].bit_length() - 1
+    lead = psi.shape[:-1]
+    n = psi.shape[-1].bit_length() - 1
     if n == 0:
         return psi.copy()
     groups = -(-n // _BLOCK_SPINS)
     q, extra = divmod(n, groups)
+    beta = np.asarray(beta, dtype=float)[..., None]
     x = psi
     below = 0  # bits under the current group
     for k in [q + 1] * extra + [q] * (groups - extra):
         d = np.arange(k + 1)
-        r = (np.cos(beta) ** (k - d) * (-1j * np.sin(beta)) ** d)[_hamming(k)]
+        # take, unlike fancy indexing on the last axis, gives contiguous
+        # blocks, which matmul hands to BLAS
+        r = (np.cos(beta) ** (k - d) * (-1j * np.sin(beta)) ** d).take(_hamming(k), axis=-1)
         if below == 0:
-            x = x.reshape(-1, 1 << k) @ r
+            x = x.reshape(*lead, -1, 1 << k) @ r
         else:
-            x = np.matmul(r, x.reshape(-1, 1 << k, 1 << below))
+            x = np.matmul(r[..., None, :, :], x.reshape(*lead, -1, 1 << k, 1 << below))
         below += k
-    return x.reshape(-1)
+    return x.reshape(psi.shape)
 
 
 @lru_cache(maxsize=None)
@@ -114,10 +122,11 @@ def _hamming(k: int) -> np.ndarray:
 
 
 def _real_matmul(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """m @ psi for a real matrix and a complex vector, as one real product
-    with two columns, so m is never copied to complex."""
-    pairs = np.ascontiguousarray(psi, dtype=complex).view(float).reshape(-1, 2)
-    return (m @ pairs).view(complex).reshape(-1)
+    """m @ psi for a real matrix and a complex vector (or each row of a
+    stack of them), as one real product with two columns, so m is never
+    copied to complex."""
+    pairs = np.ascontiguousarray(psi, dtype=complex).view(float).reshape(*psi.shape, 2)
+    return (m @ pairs).view(complex).reshape(psi.shape)
 
 
 def mixer_eigenvalues(n: int) -> np.ndarray:
@@ -206,15 +215,30 @@ class CircuitSimulator:
         return EigenDecomposition(self._eig.eigenvalues, _embed(self._eig.eigenvectors))
 
     def _run(self, gammas, betas) -> np.ndarray:
-        """Final state of a schedule, as coefficients in the cost eigenbasis."""
+        """Final state of a schedule, as coefficients in the cost eigenbasis.
+
+        Angles of shape (p, K), layers on axis 0, run K schedules together
+        and give a (K, width) array. Each row is bit-identical to its
+        schedule run alone: every product is taken per row, as a matrix
+        times one vector (a matrix-matrix product would round differently).
+        """
         gammas = np.asarray(gammas, dtype=float)
         betas = np.asarray(betas, dtype=float)
         if gammas.shape != betas.shape:
             raise ValueError("schedule gamma/beta lengths differ")
+        batch = gammas.shape[1:]  # (K,) for a batch, () for one schedule
         c = self._c0
+        if batch:
+            c = np.repeat(c[None], batch[0], axis=0)
         if self._fused:
-            cost_ph = np.exp(np.multiply.outer(gammas, self._cost_levels))[:, self._cost_index]
-            mix_ph = np.exp(np.multiply.outer(betas, self._mix_levels))[:, self._mix_index]
+            cost_ph = np.exp(np.multiply.outer(gammas, self._cost_levels)).take(
+                self._cost_index, axis=-1)
+            mix_ph = np.exp(np.multiply.outer(betas, self._mix_levels)).take(
+                self._mix_index, axis=-1)
+            if batch:
+                # Stacks of column vectors, so that b @ c is one
+                # matrix-vector product per row.
+                c, cost_ph, mix_ph = c[..., None], cost_ph[..., None], mix_ph[..., None]
             b = self._to_had
             bt = self._from_had
             for cp, mp in zip(cost_ph, mix_ph):
@@ -222,19 +246,26 @@ class CircuitSimulator:
         else:
             # Phases per layer: a p x 2^n table would dominate the memory.
             for g, beta in zip(gammas, betas):
-                cp = np.exp(g * self._cost_levels)[self._cost_index]
+                cp = np.exp(np.multiply.outer(g, self._cost_levels)).take(self._cost_index, axis=-1)
                 c = self._to_cost(self._mixer(self._from_cost(cp * c), beta))
-        return c
+        return c.reshape(*batch, -1)
 
     def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         """Final state vector in the computational basis."""
         u = self._from_cost(self._run(gammas, betas))
         return _embed(u) if self.sector else u
 
-    def objective_angles(self, gammas: np.ndarray, betas: np.ndarray) -> float:
-        """<psi|H_C|psi> of the final state; the optimization target."""
+    def objective_angles(self, gammas: np.ndarray, betas: np.ndarray):
+        """<psi|H_C|psi> of the final state; the optimization target.
+
+        Angles of shape (p, K) give an array of the K schedules' values.
+        """
         c = self._run(gammas, betas)
-        return float(np.dot(self.cost_eigs, (c * c.conj()).real))
+        probs = (c * c.conj()).real
+        if probs.ndim == 1:
+            return float(np.dot(self.cost_eigs, probs))
+        # one dot per row: a matrix-vector product would round differently
+        return np.array([np.dot(self.cost_eigs, row) for row in probs])
 
     def run(self, schedule) -> np.ndarray:
         return self.run_angles(np.asarray(schedule.gamma), np.asarray(schedule.beta))
@@ -246,14 +277,20 @@ class CircuitSimulator:
         return probabilities(self.run(schedule))
 
 
-def _apply_even_mixer(u: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i beta sum_i sigma_x^i) on the even-sector coefficients u.
+def _apply_even_mixer(u: np.ndarray, beta) -> np.ndarray:
+    """exp(-i beta sum_i sigma_x^i) on the even-sector coefficients u
+    (or each row of a stack of them, with one angle each).
 
     The low spins act on u as on a state of one spin fewer; flipping the
-    top spin maps e_x to e_{x ^ (len(u) - 1)}, which reverses u.
+    top spin maps e_x to e_{x ^ (len(u) - 1)}, which reverses u. That step
+    is cos(beta) out - i sin(beta) reversed(out), taken in two buffers: the
+    reversed read goes to a new array, never to the one it reads.
     """
     out = apply_mixer(u, beta)
-    return np.cos(beta) * out - 1j * np.sin(beta) * out[::-1]
+    beta = np.asarray(beta, dtype=float)[..., None]
+    flipped = np.multiply(1j * np.sin(beta), out[..., ::-1])
+    np.multiply(np.cos(beta), out, out=out)
+    return np.subtract(out, flipped, out=flipped)
 
 
 def _embed(u: np.ndarray) -> np.ndarray:

@@ -3,12 +3,17 @@
 Classic Powell scheme: cycle through a maintained set of search directions,
 line-minimize along each, and replace the direction of largest decrease with
 the cycle displacement when the standard extrapolation test favors it.
+
+Each search is written as a generator that yields the points it needs
+evaluated and receives their values, so that several starts can advance in
+lockstep and share one batched objective call per round.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,19 +47,30 @@ class OptResult:
     best_value: float
     n_evaluations: int
     converged: bool
+    # Why the search ended: "ftol", "max_evaluations", "max_iterations" or
+    # "time_budget".
+    stop: str
     trace: list[tuple[int, float]] = field(default_factory=list)
+    # For a multi-start run: every start's result in row order, and the row
+    # this result came from.
+    starts: list[OptResult] = field(default_factory=list, repr=False)
+    winner: int = 0
 
 
-def bracket_minimum(f, xa: float = 0.0, xb: float = 1.0, grow_limit: float = 110.0,
-                    max_expansions: int = 500):
+def _bracket(xa: float, xb: float, grow_limit: float = 110.0, max_expansions: int = 500):
     """Expand (xa, xb) downhill with golden-ratio/parabolic steps until a
-    triplet xa < xb < xc with f(xb) below both ends is found."""
-    fa, fb = f(xa), f(xb)
+    triplet xa < xb < xc with f(xb) below both ends is found.
+
+    A generator: yields each abscissa, receives its value, returns
+    (xa, xb, xc, fa, fb, fc).
+    """
+    fa = yield xa
+    fb = yield xb
     if fa < fb:
         xa, xb = xb, xa
         fa, fb = fb, fa
     xc = xb + _GOLD * (xb - xa)
-    fc = f(xc)
+    fc = yield xc
     n = 0
     while fc < fb:
         tmp1 = (xb - xa) * (fb - fc)
@@ -67,24 +83,24 @@ def bracket_minimum(f, xa: float = 0.0, xb: float = 1.0, grow_limit: float = 110
             raise RuntimeError("bracketing exceeded the expansion limit")
         n += 1
         if (w - xc) * (xb - w) > 0.0:
-            fw = f(w)
+            fw = yield w
             if fw < fc:
                 return xb, w, xc, fb, fw, fc
             if fw > fb:
                 return xa, xb, w, fa, fb, fw
             w = xc + _GOLD * (xc - xb)
-            fw = f(w)
+            fw = yield w
         elif (w - wlim) * (wlim - xc) >= 0.0:
             w = wlim
-            fw = f(w)
+            fw = yield w
         elif (w - wlim) * (xc - w) > 0.0:
-            fw = f(w)
+            fw = yield w
             if fw < fc:
                 xb, xc, w = xc, w, w + _GOLD * (w - xc)
-                fb, fc, fw = fc, fw, f(w)
+                fb, fc, fw = fc, fw, (yield w)
         else:
             w = xc + _GOLD * (xc - xb)
-            fw = f(w)
+            fw = yield w
         xa, xb, xc = xb, xc, w
         fa, fb, fc = fb, fc, fw
     if xa > xc:
@@ -93,9 +109,12 @@ def bracket_minimum(f, xa: float = 0.0, xb: float = 1.0, grow_limit: float = 110
     return xa, xb, xc, fa, fb, fc
 
 
-def brent_minimum(f, xa: float, xb: float, xc: float, fb: float,
-                  xtol: float = 1e-8, abs_tol: float = 1e-11, max_iterations: int = 200):
-    """Brent's parabolic/golden-section minimization inside a bracket."""
+def _brent(xa: float, xb: float, xc: float, fb: float,
+           xtol: float = 1e-8, abs_tol: float = 1e-11, max_iterations: int = 200):
+    """Brent's parabolic/golden-section minimization inside a bracket.
+
+    A generator: yields each abscissa, receives its value, returns (x, f(x)).
+    """
     a, b = xa, xc
     x = w = v = xb
     fx = fw = fv = fb
@@ -128,7 +147,7 @@ def brent_minimum(f, xa: float, xb: float, xc: float, fb: float,
             e = b - x if x < xm else a - x
             d = _CGOLD * e
         u = x + d if abs(d) >= tol1 else x + np.copysign(tol1, d)
-        fu = f(u)
+        fu = yield u
         if fu <= fx:
             if u >= x:
                 a = x
@@ -149,82 +168,101 @@ def brent_minimum(f, xa: float, xb: float, xc: float, fb: float,
     return x, fx
 
 
-def powell_minimize(func, x0, options: PowellOptions | None = None) -> OptResult:
-    """Minimize func over R^n starting from x0.
+def _drive(search, f):
+    """Run a search generator to its end, evaluating each point with f."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
 
-    The returned trace holds the objective after each direction-set cycle
-    (entry 0 is the starting value) and is non-increasing by construction:
-    a line search keeps the incumbent point unless it found something
-    strictly better.
-    """
-    opts = options or PowellOptions()
-    t_start = time.perf_counter()
+
+def bracket_minimum(f, xa: float = 0.0, xb: float = 1.0, grow_limit: float = 110.0,
+                    max_expansions: int = 500):
+    """_bracket with the callable f: (xa, xb, xc, fa, fb, fc)."""
+    return _drive(_bracket(xa, xb, grow_limit, max_expansions), f)
+
+
+def brent_minimum(f, xa: float, xb: float, xc: float, fb: float,
+                  xtol: float = 1e-8, abs_tol: float = 1e-11, max_iterations: int = 200):
+    """_brent with the callable f: (x, f(x))."""
+    return _drive(_brent(xa, xb, xc, fb, xtol, abs_tol, max_iterations), f)
+
+
+def _powell(x, opts: PowellOptions, deadline: float | None):
+    """One start's direction-set search, as a generator: yields each point
+    to evaluate, receives its value, returns the OptResult."""
     ncalls = 0
 
-    def f(x):
+    def along(search, x, direction):
+        # The 1-D search over the step t, as points x + t direction.
         nonlocal ncalls
-        ncalls += 1
-        v = float(func(x))
-        if not np.isfinite(v):
-            raise ObjectiveError(x, v)
-        return v
+        try:
+            t = next(search)
+            while True:
+                ncalls += 1
+                t = search.send((yield x + t * direction))
+        except StopIteration as done:
+            return done.value
 
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    dims = x.size
-    directions = np.eye(dims)
-    fval = f(x)
-    trace = [(0, fval)]
-    x_cycle_start = x.copy()
-    converged = False
-    iteration = 0
-
-    def out_of_budget():
+    def budget_stop():
         if ncalls >= opts.max_evaluations:
-            return True
-        return (opts.time_budget is not None
-                and time.perf_counter() - t_start > opts.time_budget)
+            return "max_evaluations"
+        if deadline is not None and time.perf_counter() > deadline:
+            return "time_budget"
+        return None
 
     def line_min(x, direction, fx):
-        def f1d(t):
-            return f(x + t * direction)
-        xa, xb, xc, fa, fb, fc = bracket_minimum(f1d, 0.0, _INITIAL_STEP)
-        t_best, f_best = brent_minimum(f1d, xa, xb, xc, fb, xtol=opts.xtol)
+        xa, xb, xc, fa, fb, fc = yield from along(_bracket(0.0, _INITIAL_STEP), x, direction)
+        t_best, f_best = yield from along(_brent(xa, xb, xc, fb, xtol=opts.xtol), x, direction)
         if f_best < fx:
             return x + t_best * direction, f_best, t_best * direction
         return x, fx, np.zeros_like(direction)
+
+    dims = x.size
+    directions = np.eye(dims)
+    ncalls += 1
+    fval = yield x
+    trace = [(0, fval)]
+    x_cycle_start = x.copy()
+    iteration = 0
 
     while True:
         f_start = fval
         largest_decrease = 0.0
         largest_index = 0
-        budget_hit = False
+        stop = None
         for i in range(dims):
             f_before = fval
-            x, fval, _ = line_min(x, directions[i], fval)
+            x, fval, _ = yield from line_min(x, directions[i], fval)
             if f_before - fval > largest_decrease:
                 largest_decrease = f_before - fval
                 largest_index = i
-            if out_of_budget():
-                budget_hit = True
+            stop = budget_stop()
+            if stop:
                 break
         iteration += 1
         trace.append((iteration, fval))
         if 2.0 * (f_start - fval) <= opts.ftol * (abs(f_start) + abs(fval)) + 1e-20:
-            converged = True
+            stop = "ftol"
             break
-        if budget_hit or iteration >= opts.max_iterations:
+        if not stop and iteration >= opts.max_iterations:
+            stop = "max_iterations"
+        if stop:
             break
         # Powell's update: try the cycle displacement as a new direction.
         x_extrapolated = 2.0 * x - x_cycle_start
         displacement = x - x_cycle_start
         x_cycle_start = x.copy()
-        f_extrapolated = f(x_extrapolated)
+        ncalls += 1
+        f_extrapolated = yield x_extrapolated
         if f_extrapolated < f_start:
             t = (2.0 * (f_start - 2.0 * fval + f_extrapolated)
                  * (f_start - fval - largest_decrease) ** 2
                  - largest_decrease * (f_start - f_extrapolated) ** 2)
             if t < 0.0:
-                x, fval, shift = line_min(x, displacement, fval)
+                x, fval, shift = yield from line_min(x, displacement, fval)
                 if np.linalg.norm(shift) > 0.0:
                     directions[largest_index] = directions[-1]
                     directions[-1] = shift
@@ -233,6 +271,55 @@ def powell_minimize(func, x0, options: PowellOptions | None = None) -> OptResult
         best_params=x,
         best_value=fval,
         n_evaluations=ncalls,
-        converged=converged,
+        converged=stop == "ftol",
+        stop=stop,
         trace=trace,
     )
+
+
+def powell_minimize(func, x0, options: PowellOptions | None = None) -> OptResult:
+    """Minimize func over R^n starting from x0.
+
+    A 1-D x0 is one start, and func maps a point to a number. A 2-D x0 holds
+    one start per row; the starts advance in lockstep, and func maps the
+    (k, n) array of the pending points of a round to their k values. Each
+    start takes the same steps as it would alone, the evaluation cap
+    applies per start and one time budget to all starts together. The
+    result is the start with the lowest final value (the earliest of
+    equals), with every start's result in `starts`.
+
+    The returned trace holds the objective after each direction-set cycle
+    (entry 0 is the starting value) and is non-increasing by construction:
+    a line search keeps the incumbent point unless it found something
+    strictly better.
+    """
+    opts = options or PowellOptions()
+    deadline = None
+    if opts.time_budget is not None:
+        deadline = time.perf_counter() + opts.time_budget
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim > 2:
+        raise ValueError(f"starting points must be 1-D or 2-D, got shape {x0.shape}")
+    batched = x0.ndim == 2
+    rows = x0 if batched else np.atleast_1d(x0)[None]
+    evaluate = func if batched else (lambda points: [func(points[0])])
+
+    searches = [_powell(x.copy(), opts, deadline) for x in rows]
+    pending = {i: next(s) for i, s in enumerate(searches)}
+    results: list[OptResult] = [None] * len(searches)
+    while pending:
+        points = np.array(list(pending.values()))
+        for i, x, value in zip(list(pending), points, evaluate(points), strict=True):
+            value = float(value)
+            if not math.isfinite(value):
+                raise ObjectiveError(x, value)
+            try:
+                pending[i] = searches[i].send(value)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+
+    if not batched:
+        return results[0]
+    winner = min(range(len(results)), key=lambda i: results[i].best_value)
+    return replace(results[winner], starts=results, winner=winner)

@@ -7,8 +7,7 @@ of k/p).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,20 +81,24 @@ class QaoaProblem:
 
         Full scheme: the 2p angles, gammas first. Linearized scheme:
         (gamma slope, gamma intercept, beta slope, beta intercept), with
-        gamma_k = slope * k/p + intercept and likewise for beta.
+        gamma_k = slope * k/p + intercept and likewise for beta. A (K, dims)
+        array of K parameter vectors gives angles of shape (p, K).
         """
         params = np.asarray(params, dtype=float)
+        size = params.shape[-1] if params.ndim else 1
         if self.scheme == "full":
-            if params.size != 2 * self.p:
+            if size != 2 * self.p:
                 raise ValueError(
-                    f"full scheme at depth {self.p} needs {2*self.p} parameters, got {params.size}"
+                    f"full scheme at depth {self.p} needs {2*self.p} parameters, got {size}"
                 )
-            return params[: self.p], params[self.p:]
-        if params.size != 4:
-            raise ValueError(f"linearized scheme needs 4 parameters, got {params.size}")
-        return params[0] * self._k + params[1], params[2] * self._k + params[3]
+            return params[..., : self.p].T, params[..., self.p:].T
+        if size != 4:
+            raise ValueError(f"linearized scheme needs 4 parameters, got {size}")
+        return (np.multiply.outer(self._k, params[..., 0]) + params[..., 1],
+                np.multiply.outer(self._k, params[..., 2]) + params[..., 3])
 
-    def objective(self, params) -> float:
+    def objective(self, params):
+        """Objective of a parameter vector, or the K values of a (K, dims) array."""
         gammas, betas = self.split(params)
         return self.simulator.objective_angles(gammas, betas)
 
@@ -144,11 +147,27 @@ def linearized_init_battery(
 class QaoaOutcome:
     """Winning optimization run plus the measurement distribution it yields."""
 
-    result: OptResult
+    result: OptResult  # the winning start's run; result.starts holds every start's
     schedule: AngleSchedule
     distribution: np.ndarray
-    total_evaluations: int
-    n_starts: int
+
+    @property
+    def starts(self) -> list[OptResult]:
+        """Every start's run (final value, evaluations, stop), in start order."""
+        return self.result.starts
+
+    @property
+    def winner(self) -> int:
+        """Index of the winning start in `starts`."""
+        return self.result.winner
+
+    @property
+    def n_starts(self) -> int:
+        return len(self.result.starts)
+
+    @property
+    def total_evaluations(self) -> int:
+        return sum(r.n_evaluations for r in self.result.starts)
 
 
 def optimize_qaoa(
@@ -170,12 +189,14 @@ def optimize_qaoa(
     depth). Linearized runs try the deterministic battery of ramp images;
     the 4-dimensional landscape is riddled with poor local minima that the
     plain ramp image alone falls into. `restarts` adds seeded random
-    perturbations of the first start. A time budget in `options` spans the
-    whole point (all starts together), so the first starts are the ones it
-    keeps.
+    perturbations of the first start.
+
+    All starts advance in lockstep, one batched objective evaluation per
+    round, with the same steps and results as run one by one. A time
+    budget in `options` is one deadline for the whole point: every start
+    still running stops at it, and the best of what each reached wins.
     """
     problem = QaoaProblem(inst, kind, scheme, p)
-    opts = options or PowellOptions()
     a = alpha(inst) if kind.method == "sbo" else 0.0
 
     if scheme == "full":
@@ -192,32 +213,7 @@ def optimize_qaoa(
         for _ in range(restarts):
             starts.append(base + rng.uniform(-0.5, 0.5, size=base.size))
 
-    deadline = None
-    if opts.time_budget is not None:
-        deadline = time.perf_counter() + opts.time_budget
-
-    best: OptResult | None = None
-    total_evals = 0
-    n_started = 0
-    for x0 in starts:
-        run_opts = opts
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if best is not None and remaining <= 0:
-                break
-            run_opts = replace(opts, time_budget=max(remaining, 1e-3))
-        n_started += 1
-        result = powell_minimize(problem.objective, x0, run_opts)
-        total_evals += result.n_evaluations
-        if best is None or result.best_value < best.best_value:
-            best = result
-
-    schedule = problem.schedule(best.best_params)
+    result = powell_minimize(problem.objective, np.array(starts), options)
+    schedule = problem.schedule(result.best_params)
     distribution = problem.simulator.probabilities(schedule)
-    return QaoaOutcome(
-        result=best,
-        schedule=schedule,
-        distribution=distribution,
-        total_evaluations=total_evals,
-        n_starts=n_started,
-    )
+    return QaoaOutcome(result=result, schedule=schedule, distribution=distribution)

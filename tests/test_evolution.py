@@ -11,6 +11,7 @@ from gibbs_qaoa.evolution import (
     FUSED_MAX_SPINS,
     CircuitSimulator,
     CostKind,
+    _apply_even_mixer,
     apply_mixer,
     densified_mixer,
     hadamard_matrix,
@@ -103,6 +104,28 @@ class TestMixer:
             assert out.shape == psi.shape
             assert np.abs(out - per_spin_mixer(psi, beta)).max() <= 1e-12
         assert np.array_equal(psi, kept)
+
+    # A stack of states, one angle each: every row as the state alone.
+    @pytest.mark.parametrize("n", range(14))
+    def test_stack_rows_equal_single_states(self, n):
+        rng = np.random.default_rng(200 + n)
+        psi = np.array([random_state(rng, 1 << n) for _ in range(3)])
+        betas = np.array([-0.3, 0.7, 2.6])
+        out = apply_mixer(psi, betas)
+        assert out.shape == psi.shape
+        for row, state, beta in zip(out, psi, betas):
+            assert np.array_equal(row, apply_mixer(state, beta))
+
+    # The top-spin step, against the formula it implements, bit for bit.
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_even_mixer_top_spin_step(self, n):
+        rng = np.random.default_rng(300 + n)
+        u = np.array([random_state(rng, 1 << n) for _ in range(2)])
+        betas = np.array([0.4, -1.3])
+        out = _apply_even_mixer(u, betas)
+        for row, state, beta in zip(out, u, betas):
+            low = apply_mixer(state, beta)
+            assert np.array_equal(row, np.cos(beta) * low - 1j * np.sin(beta) * low[::-1])
 
     def test_hadamard_diagonalization(self):
         for n in (1, 2, 3, 5):

@@ -100,3 +100,80 @@ class TestPowell:
 
         r = powell_minimize(f, np.zeros(12))
         assert np.abs(r.best_params - target).max() <= 1e-7
+
+
+def rows(f):
+    """Row-wise form of a one-point objective."""
+    return lambda points: [f(x) for x in points]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("f", [rosenbrock, lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2])
+    @pytest.mark.parametrize("cap", [200_000, 40])
+    def test_each_start_matches_its_standalone_run(self, f, cap):
+        # The first start begins at the quadratic's minimum and converges
+        # within a few rounds; the others run longer, and under the small
+        # cap some of them stop at it.
+        starts = np.array([[1.0, -2.0], [-1.2, 1.0], [2.0, 2.0], [0.3, -0.7], [-3.0, 4.0]])
+        opts = PowellOptions(max_evaluations=cap)
+        batch = powell_minimize(rows(f), starts, opts)
+        alone = [powell_minimize(f, x0, opts) for x0 in starts]
+        assert len(batch.starts) == len(starts)
+        for got, want in zip(batch.starts, alone):
+            assert np.array_equal(got.best_params, want.best_params)
+            assert got.best_value == want.best_value
+            assert got.n_evaluations == want.n_evaluations
+            assert got.trace == want.trace
+            assert got.stop == want.stop
+            assert got.converged == want.converged
+        assert len({r.n_evaluations for r in alone}) > 1  # finished in different rounds
+        if cap < 200_000:
+            assert "max_evaluations" in {r.stop for r in alone}
+        best = min(range(len(alone)), key=lambda i: alone[i].best_value)
+        assert batch.winner == best
+        assert batch.best_value == alone[best].best_value
+        assert batch.n_evaluations == alone[best].n_evaluations
+
+    def test_one_call_per_round_on_pending_points(self):
+        sizes = []
+
+        def f(points):
+            sizes.append(points.shape)
+            return [rosenbrock(x) for x in points]
+
+        r = powell_minimize(f, np.array([[0.0, 0.0], [-1.2, 1.0], [2.0, 2.0]]))
+        assert sizes[0] == (3, 2) and all(s[1] == 2 for s in sizes)
+        assert [s[0] for s in sizes] == sorted((s[0] for s in sizes), reverse=True)
+        # each start evaluates once per round until it finishes
+        assert sum(s[0] for s in sizes) == sum(s.n_evaluations for s in r.starts)
+        assert len(sizes) == max(s.n_evaluations for s in r.starts)
+
+    def test_ties_go_to_the_earliest_start(self):
+        r = powell_minimize(rows(rosenbrock), np.array([[0.5, 0.5], [-1.2, 1.0], [0.5, 0.5]]))
+        assert r.starts[0].best_value == r.starts[2].best_value == r.best_value
+        assert r.winner == 0
+
+    def test_non_finite_value_names_its_row(self):
+        def f(points):
+            values = [(x[0] - 1.0) ** 2 for x in points]
+            values[1] = np.nan  # the second pending point
+            return values
+
+        with pytest.raises(ObjectiveError) as err:
+            powell_minimize(f, np.array([[0.0], [3.0], [5.0]]))
+        assert np.array_equal(err.value.point, [3.0])
+        assert np.isnan(err.value.value)
+
+    def test_stop_reasons(self):
+        assert powell_minimize(rosenbrock, [-1.2, 1.0]).stop == "ftol"
+        capped = powell_minimize(rosenbrock, [-1.2, 1.0], PowellOptions(max_evaluations=30))
+        assert capped.stop == "max_evaluations"
+        cycles = powell_minimize(rosenbrock, [-1.2, 1.0], PowellOptions(max_iterations=2, ftol=0.0))
+        assert cycles.stop == "max_iterations"
+        late = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0], [2.0, 2.0]]),
+                               PowellOptions(time_budget=0.0))
+        assert [s.stop for s in late.starts] == ["time_budget"] * 2
+
+    def test_single_start_has_no_start_records(self):
+        r = powell_minimize(rosenbrock, [-1.2, 1.0])
+        assert r.starts == [] and r.winner == 0

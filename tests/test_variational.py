@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbs_qaoa.evolution import CostKind
-from gibbs_qaoa.ising import toy_instance
+from gibbs_qaoa.ising import IsingInstance, toy_instance
 from gibbs_qaoa.operators import alpha
 from gibbs_qaoa.powell import PowellOptions, powell_minimize
 from gibbs_qaoa.variational import (
@@ -112,6 +116,33 @@ class TestObjective:
         )
 
 
+# n runs across FUSED_MAX_SPINS on both sides of the even sector, so the
+# batch meets the dense-transform and the block mixer, each in the full space
+# and in the even sector.
+@pytest.mark.parametrize("n", range(2, 11))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_batched_objective_equals_rows(n, data):
+    unit = st.sampled_from([-1.0, 0.0, 1.0])
+    couplings = {pair: value for pair in itertools.combinations(range(1, n + 1), 2)
+                 if (value := data.draw(unit))}
+    fields = (tuple(data.draw(unit) for _ in range(n))
+              if data.draw(st.booleans(), label="fields") else ())
+    inst = IsingInstance(n=n, couplings=couplings, fields=fields)
+    kind = (CostKind.sbo(data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+            if data.draw(st.booleans(), label="sbo") else CostKind.classical())
+    scheme = data.draw(st.sampled_from(["full", "linearized"]))
+    p = data.draw(st.integers(1, 5), label="p")
+    k = data.draw(st.sampled_from([1, 2, 5]), label="K")
+    problem = QaoaProblem(inst, kind, scheme, p)
+    dims = 2 * p if scheme == "full" else 4
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    params = np.random.default_rng(seed).uniform(-2.0, 2.0, (k, dims))
+    values = problem.objective(params)
+    assert values.shape == (k,)
+    assert list(values) == [problem.objective(x) for x in params]
+
+
 class TestOptimizeQaoa:
     def test_descent_and_psd_floor(self):
         out = optimize_qaoa(toy_instance(), CostKind.sbo(1.0), "linearized", 2)
@@ -169,10 +200,38 @@ class TestOptimizeQaoa:
         assert a.result.best_value == b.result.best_value
         assert a.n_starts == b.n_starts == 3
 
+    @pytest.mark.parametrize("scheme", ["full", "linearized"])
+    def test_starts_match_standalone_runs(self, scheme):
+        # The lockstep batch changes no start's path: each start's record
+        # equals a run of that start alone, bit for bit.
+        inst, kind, p = toy_instance(), CostKind.sbo(0.5), 3
+        opts = PowellOptions(max_evaluations=300)
+        out = optimize_qaoa(inst, kind, scheme, p, options=opts)
+        problem = QaoaProblem(inst, kind, scheme, p)
+        if scheme == "full":
+            ramp = tqa_schedule(p).to_params()
+            scaled = np.concatenate([init_scale(kind, alpha(inst)) * ramp[:p], ramp[p:]])
+            starts = [scaled, ramp]
+        else:
+            starts = linearized_init_battery(kind, alpha_value=alpha(inst))
+        assert out.n_starts == len(starts)
+        for x0, got in zip(starts, out.starts):
+            want = powell_minimize(problem.objective, x0, opts)
+            assert np.array_equal(got.best_params, want.best_params)
+            assert got.best_value == want.best_value
+            assert got.n_evaluations == want.n_evaluations
+            assert got.trace == want.trace and got.stop == want.stop
+        assert out.result.best_value == min(r.best_value for r in out.starts)
+        assert out.result.best_value == out.starts[out.winner].best_value
+        assert out.result.n_evaluations == out.starts[out.winner].n_evaluations
+        assert out.total_evaluations == sum(r.n_evaluations for r in out.starts)
+
     def test_time_budget_truncates_battery(self):
-        out = optimize_qaoa(
-            toy_instance(), CostKind.sbo(1.0), "linearized", 2,
-            options=PowellOptions(time_budget=0.05),
-        )
-        assert out.n_starts < 24
+        # The starts run in lockstep, so one deadline cuts every start of the
+        # battery short together (each needs hundreds of rounds to converge).
+        args = (toy_instance(), CostKind.sbo(1.0), "linearized", 2)
+        out = optimize_qaoa(*args, options=PowellOptions(time_budget=0.01))
+        assert out.n_starts == 24
+        assert [r.stop for r in out.starts] == ["time_budget"] * 24
+        assert out.total_evaluations < optimize_qaoa(*args).total_evaluations
         assert np.isfinite(out.result.best_value)
