@@ -3,22 +3,16 @@
 
 The full grid (12 depths x both methods x both schemes x 3 temperatures)
 is an hours-scale job on a laptop; --quick trims it to a sanity-check grid
-that still shows the saturation and flattening behavior.
+that still shows the saturation and flattening behavior. The sweep is
+`gibbs-qaoa sweep --toy` writing sweep.csv, sweep.json and the fig2/fig3
+data and SVG files into --out.
 """
 
 import argparse
 import os
 import sys
 
-from gibbs_qaoa.harness import (
-    DEFAULT_DEPTHS,
-    SweepConfig,
-    emit_csv,
-    emit_fig_data,
-    emit_json,
-    run_sweep,
-)
-from gibbs_qaoa.ising import toy_instance
+from gibbs_qaoa import cli
 
 QUICK_DEPTHS = (1, 3, 10, 32, 100)
 
@@ -33,27 +27,17 @@ def main(argv=None) -> int:
                              "(default: none; evaluation caps bound each point)")
     args = parser.parse_args(argv)
 
-    cfg = SweepConfig(
-        instance=toy_instance(),
-        depths=QUICK_DEPTHS if args.quick else DEFAULT_DEPTHS,
-        point_budget_s=args.budget_s,
-        workers=args.workers,
-    )
-    records, failures = run_sweep(cfg)
     os.makedirs(args.out, exist_ok=True)
-    emit_csv(records, os.path.join(args.out, "sweep.csv"))
-    emit_json(records, os.path.join(args.out, "sweep.json"))
-    written = emit_fig_data(records, "fig2", args.out, svg=True)
-    written += emit_fig_data(records, "fig3", args.out, svg=True)
-    print(f"{len(records)} records -> {args.out}/sweep.csv")
-    for path in written:
-        print(f"wrote {path}")
-    if failures:
-        print("failed points:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f.point}: {f.error}", file=sys.stderr)
-        return 2
-    return 0
+    sweep = ["sweep", "--toy", "--fig-dir", args.out, "--svg",
+             "--out-csv", os.path.join(args.out, "sweep.csv"),
+             "--out-json", os.path.join(args.out, "sweep.json")]
+    if args.quick:
+        sweep += ["--depths", *map(str, QUICK_DEPTHS)]
+    if args.workers is not None:
+        sweep += ["--workers", str(args.workers)]
+    if args.budget_s is not None:
+        sweep += ["--budget-s", str(args.budget_s)]
+    return cli.main(sweep)
 
 
 if __name__ == "__main__":

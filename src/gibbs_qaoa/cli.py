@@ -37,11 +37,13 @@ KERNEL_TOL_TOY = 1e-10
 EIGENVALUE_TOL = 1e-10
 
 
+class _ParseError(Exception):
+    """Arguments a parser rejects, as args (parser, message)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise _ParseError(self, message)
 
 
 def _add_instance_flags(p: _Parser) -> None:
@@ -56,9 +58,7 @@ def _resolve_instance(args) -> tuple[IsingInstance, str]:
     return load_instance(args.instance), args.instance
 
 
-# name: (type, default, help) of each optimizer flag. The sweep parser leaves
-# them at None, so that a flag given on the command line wins over the same
-# key in a config file.
+# name: (type, default, help) of each optimizer flag.
 OPTIMIZER_FLAGS = {
     "dt": (float, 1.0, "annealing-ramp time step"),
     "ftol": (float, PowellOptions.ftol, None),
@@ -78,10 +78,12 @@ def _add_optimizer_flags(p: _Parser, with_defaults: bool = True) -> None:
                        default=default if with_defaults else None, help=help_text)
 
 
-def _optimizer_settings(value) -> dict:
-    """SweepConfig keywords from the optimizer flags; `value(name)` reads one
-    flag. The flags that are not SweepConfig fields are PowellOptions fields."""
-    v = {name: value(name) for name in OPTIMIZER_FLAGS}
+def _optimizer_settings(args) -> dict:
+    """SweepConfig keywords from the optimizer flags in `args`, at their
+    defaults where `args` holds None. The flags that are not SweepConfig
+    fields are PowellOptions fields."""
+    v = {name: default if getattr(args, name) is None else getattr(args, name)
+         for name, (_, default, _) in OPTIMIZER_FLAGS.items()}
     return {
         "dt": v.pop("dt"),
         "point_budget_s": v.pop("budget_s"),
@@ -108,9 +110,11 @@ def build_parser() -> _Parser:
     p_run.add_argument("--json", metavar="PATH", help="also write the record as JSON")
 
     p_sweep = sub.add_parser("sweep", help="run a (method, scheme, T, p) grid")
+    # The flags a config file can also set default to None, so that one given
+    # on the command line wins over the same key in the file.
     p_sweep.add_argument("--config", metavar="PATH", help="key-value config file")
     inst_group = p_sweep.add_mutually_exclusive_group()
-    inst_group.add_argument("--toy", action="store_true")
+    inst_group.add_argument("--toy", action="store_true", default=None)
     inst_group.add_argument("--instance", metavar="PATH")
     p_sweep.add_argument("--methods", nargs="+", choices=harness.METHODS)
     p_sweep.add_argument("--schemes", nargs="+", choices=("full", "linearized"))
@@ -118,9 +122,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--temperatures", nargs="+", type=float)
     _add_optimizer_flags(p_sweep, with_defaults=False)
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: one per core); "
-                              "GIBBS_QAOA_THREADS, when set, wins over this "
-                              "flag and the config file's workers key")
+                         help="worker processes (default: one per core)")
     p_sweep.add_argument("--out-csv", metavar="PATH")
     p_sweep.add_argument("--out-json", metavar="PATH")
     p_sweep.add_argument("--fig-dir", metavar="DIR",
@@ -147,20 +149,19 @@ def build_parser() -> _Parser:
 
 
 def cmd_run(args) -> int:
-    inst, label = _resolve_instance(args)
+    inst, _ = _resolve_instance(args)
     if args.method == "sbo" and args.temperature is None:
         print("error: method sbo requires -T", file=sys.stderr)
         return USAGE_ERROR
     temps = (args.temperature,) if args.temperature is not None else harness.DEFAULT_TEMPERATURES
     cfg = harness.SweepConfig(
         instance=inst,
-        instance_label=label,
         methods=(args.method,),
         schemes=(args.scheme,),
         depths=(args.depth,),
         temperatures=temps,
         workers=1,
-        **_optimizer_settings(lambda name: getattr(args, name)),
+        **_optimizer_settings(args),
     )
     point = harness.PointSpec(
         args.method, args.scheme, args.depth,
@@ -178,74 +179,53 @@ def cmd_run(args) -> int:
 SWEEP_KEYS = ("instance", "methods", "schemes", "depths", "temperatures", "workers")
 
 
-def _parse_config_file(path) -> dict:
-    values: dict[str, list[str]] = {}
+def _parse_config_file(path) -> argparse.Namespace:
+    """The sweep arguments a config file gives. Each line `key v...` stands
+    for the flag `--key v...` (`instance toy` for `--toy`), and all of them
+    go through the sweep parser, with the flags' own checks."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            tokens = line.split()
-            if len(tokens) < 2:
+            key, *values = line.split()
+            if not values or any(v.startswith("--") for v in values):
                 raise ValueError(f"config line {lineno}: expected '<key> <value...>'")
-            key = tokens[0].lower()
+            key = key.lower()
             if key not in SWEEP_KEYS and key not in OPTIMIZER_FLAGS:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = tokens[1:]
-    return values
+            if key == "instance" and values == ["toy"]:
+                tokens.append("--toy")
+            else:
+                tokens += ["--" + key.replace("_", "-"), *values]
+    try:
+        return build_parser().parse_args(["sweep", *tokens])
+    except _ParseError as exc:
+        raise ValueError(f"config file {path}: {exc.args[1]}") from None
 
 
 def _sweep_config(args) -> harness.SweepConfig:
-    file_vals = _parse_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in file_vals:
-            return cast(file_vals[key])
-        return default
-
-    instance_src = None
-    if args.toy:
-        instance_src = "toy"
-    elif args.instance:
-        instance_src = args.instance
-    elif "instance" in file_vals:
-        instance_src = file_vals["instance"][0]
-    if instance_src is None:
+    if args.config:
+        given = {k: v for k, v in vars(args).items() if v is not None}
+        if "toy" in given or "instance" in given:  # one setting, two flags
+            given.update(toy=args.toy, instance=args.instance)
+        args = argparse.Namespace(**{**vars(_parse_config_file(args.config)), **given})
+    if not (args.toy or args.instance):
         raise ValueError("no instance given (use --toy, --instance, or config 'instance')")
-    inst = toy_instance() if instance_src == "toy" else load_instance(instance_src)
-
-    methods = tuple(pick(args.methods, "methods", lambda v: v, harness.METHODS))
-    schemes = tuple(pick(args.schemes, "schemes", lambda v: v, ("full", "linearized")))
-    depths = tuple(pick(args.depths, "depths", lambda v: [int(x) for x in v],
-                        harness.DEFAULT_DEPTHS))
-    temps = tuple(pick(args.temperatures, "temperatures",
-                       lambda v: [float(x) for x in v], harness.DEFAULT_TEMPERATURES))
-
-    def scalar(name):
-        cast, default, _ = OPTIMIZER_FLAGS[name]
-        return pick(getattr(args, name), name, lambda v: cast(v[0]), default)
-
     return harness.SweepConfig(
-        instance=inst,
-        instance_label=instance_src,
-        methods=methods,
-        schemes=schemes,
-        depths=depths,
-        temperatures=temps,
-        **_optimizer_settings(scalar),
-        workers=args.workers if args.workers is not None else (
-            int(file_vals["workers"][0]) if "workers" in file_vals else None),
+        instance=_resolve_instance(args)[0],
+        methods=tuple(args.methods or harness.METHODS),
+        schemes=tuple(args.schemes or ("full", "linearized")),
+        depths=tuple(args.depths or harness.DEFAULT_DEPTHS),
+        temperatures=tuple(args.temperatures or harness.DEFAULT_TEMPERATURES),
+        **_optimizer_settings(args),
+        workers=args.workers,
     )
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _sweep_config(args)
-    except (ValueError, OSError, InstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cfg = _sweep_config(args)
     records, failures = harness.run_sweep(cfg)
     print(f"completed {len(records)} of {len(records) + len(failures)} points")
     if args.out_csv:
@@ -337,7 +317,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _ParseError as exc:
+        rejecting, message = exc.args
+        rejecting.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        return USAGE_ERROR
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         if args.command == "run":

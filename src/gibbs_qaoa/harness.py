@@ -8,7 +8,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,13 +33,10 @@ CSV_BASE_COLUMNS = (
     "n_eval", "converged", "wall_time_s",
 )
 
-ENV_THREADS = "GIBBS_QAOA_THREADS"
-
 
 @dataclass(frozen=True)
 class SweepConfig:
     instance: IsingInstance
-    instance_label: str = "toy"
     methods: tuple[str, ...] = METHODS
     schemes: tuple[str, ...] = ("full", "linearized")
     depths: tuple[int, ...] = DEFAULT_DEPTHS
@@ -115,10 +112,10 @@ def run_point(cfg: SweepConfig, point: PointSpec) -> SweepRecord:
     t0 = time.perf_counter()
     kind = (CostKind.classical() if point.method == "qaoa"
             else CostKind.sbo(point.temperature))
-    opts = replace(cfg.optimizer, time_budget=cfg.point_budget_s)
     outcome = optimize_qaoa(
         cfg.instance, kind, point.scheme, point.p,
-        options=opts, dt=cfg.dt, restarts=cfg.restarts, seed=cfg.seed,
+        options=cfg.optimizer, dt=cfg.dt, restarts=cfg.restarts, seed=cfg.seed,
+        time_budget=cfg.point_budget_s,
     )
     gs = ground_set(cfg.instance)
     dist = outcome.distribution
@@ -157,15 +154,7 @@ class SweepFailure:
     error: str
 
 
-def _worker(args) -> SweepRecord:
-    cfg, point = args
-    return run_point(cfg, point)
-
-
 def resolve_workers(requested: int | None) -> int:
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
     if requested is not None:
         return max(1, requested)
     return os.cpu_count() or 1
@@ -189,7 +178,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRecord], list[SweepFailure]]:
                 failures.append(SweepFailure(point, f"{type(exc).__name__}: {exc}"))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_worker, (cfg, point)): point for point in points}
+            futures = {pool.submit(run_point, cfg, point): point for point in points}
             for future, point in futures.items():
                 try:
                     records[point] = future.result()

@@ -34,11 +34,12 @@ class ObjectiveError(RuntimeError):
 
 @dataclass
 class PowellOptions:
+    """Stopping rules counted in evaluations and cycles, not in wall time."""
+
     ftol: float = 1e-10            # relative per-cycle objective decrease
     xtol: float = 1e-8             # line-search position tolerance
     max_iterations: int = 100      # direction-set cycles
     max_evaluations: int = 200_000
-    time_budget: float | None = None  # wall seconds; None = unbounded
 
 
 @dataclass
@@ -168,28 +169,6 @@ def _brent(xa: float, xb: float, xc: float, fb: float,
     return x, fx
 
 
-def _drive(search, f):
-    """Run a search generator to its end, evaluating each point with f."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(f(x))
-    except StopIteration as done:
-        return done.value
-
-
-def bracket_minimum(f, xa: float = 0.0, xb: float = 1.0, grow_limit: float = 110.0,
-                    max_expansions: int = 500):
-    """_bracket with the callable f: (xa, xb, xc, fa, fb, fc)."""
-    return _drive(_bracket(xa, xb, grow_limit, max_expansions), f)
-
-
-def brent_minimum(f, xa: float, xb: float, xc: float, fb: float,
-                  xtol: float = 1e-8, abs_tol: float = 1e-11, max_iterations: int = 200):
-    """_brent with the callable f: (x, f(x))."""
-    return _drive(_brent(xa, xb, xc, fb, xtol, abs_tol, max_iterations), f)
-
-
 def _powell(x, opts: PowellOptions, deadline: float | None):
     """One start's direction-set search, as a generator: yields each point
     to evaluate, receives its value, returns the OptResult."""
@@ -277,16 +256,18 @@ def _powell(x, opts: PowellOptions, deadline: float | None):
     )
 
 
-def powell_minimize(func, x0, options: PowellOptions | None = None) -> OptResult:
+def powell_minimize(func, x0, options: PowellOptions | None = None,
+                    time_budget: float | None = None) -> OptResult:
     """Minimize func over R^n starting from x0.
 
     A 1-D x0 is one start, and func maps a point to a number. A 2-D x0 holds
     one start per row; the starts advance in lockstep, and func maps the
     (k, n) array of the pending points of a round to their k values. Each
     start takes the same steps as it would alone, the evaluation cap
-    applies per start and one time budget to all starts together. The
-    result is the start with the lowest final value (the earliest of
-    equals), with every start's result in `starts`.
+    applies per start, and `time_budget` (wall seconds; None for none) is
+    one deadline for all starts together. The result is the start with
+    the lowest final value (the earliest of equals), with every start's
+    result in `starts`.
 
     The returned trace holds the objective after each direction-set cycle
     (entry 0 is the starting value) and is non-increasing by construction:
@@ -294,9 +275,7 @@ def powell_minimize(func, x0, options: PowellOptions | None = None) -> OptResult
     strictly better.
     """
     opts = options or PowellOptions()
-    deadline = None
-    if opts.time_budget is not None:
-        deadline = time.perf_counter() + opts.time_budget
+    deadline = None if time_budget is None else time.perf_counter() + time_budget
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim > 2:
         raise ValueError(f"starting points must be 1-D or 2-D, got shape {x0.shape}")

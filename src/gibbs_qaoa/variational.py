@@ -179,6 +179,7 @@ def optimize_qaoa(
     dt: float = DEFAULT_DT,
     restarts: int = 0,
     seed: int = 0,
+    time_budget: float | None = None,
 ) -> QaoaOutcome:
     """Optimize the angles and return the best run's distribution.
 
@@ -192,9 +193,9 @@ def optimize_qaoa(
     perturbations of the first start.
 
     All starts advance in lockstep, one batched objective evaluation per
-    round, with the same steps and results as run one by one. A time
-    budget in `options` is one deadline for the whole point: every start
-    still running stops at it, and the best of what each reached wins.
+    round, with the same steps and results as run one by one. `time_budget`
+    (wall seconds) is one deadline for the whole point: every start still
+    running stops at it, and the best of what each reached wins.
     """
     problem = QaoaProblem(inst, kind, scheme, p)
     a = alpha(inst) if kind.method == "sbo" else 0.0
@@ -213,7 +214,7 @@ def optimize_qaoa(
         for _ in range(restarts):
             starts.append(base + rng.uniform(-0.5, 0.5, size=base.size))
 
-    result = powell_minimize(problem.objective, np.array(starts), options)
+    result = powell_minimize(problem.objective, np.array(starts), options, time_budget)
     schedule = problem.schedule(result.best_params)
     distribution = problem.simulator.probabilities(schedule)
     return QaoaOutcome(result=result, schedule=schedule, distribution=distribution)

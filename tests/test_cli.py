@@ -1,9 +1,15 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from gibbs_qaoa import cli
-from gibbs_qaoa.ising import IsingInstance, render_instance
+from gibbs_qaoa import cli, harness
+from gibbs_qaoa.harness import SweepConfig
+from gibbs_qaoa.ising import IsingInstance, render_instance, toy_instance
+from gibbs_qaoa.powell import PowellOptions
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -181,3 +187,55 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--methods", "qaoa")
         assert code == 1
         assert "no instance" in err
+
+
+def sweep_config(*argv):
+    return cli._sweep_config(cli.build_parser().parse_args(["sweep", *argv]))
+
+
+class TestConfigFile:
+    def test_example_config_values(self):
+        cfg = sweep_config("--config", str(SCRIPTS / "sweep_example.cfg"))
+        assert cfg == SweepConfig(
+            instance=toy_instance(),
+            methods=("qaoa", "sbo"),
+            schemes=("full", "linearized"),
+            depths=(1, 2, 3, 5, 7, 10),
+            temperatures=(0.5, 1.0, 2.0),
+            dt=1.0,
+            optimizer=PowellOptions(max_evaluations=50000),
+            point_budget_s=120.0,
+            restarts=0,
+            seed=0,
+            workers=None,
+        )
+
+    @pytest.mark.parametrize("line, flag", [("depths a", "--depths"),
+                                            ("methods qoaa", "--methods")])
+    def test_bad_value_names_its_flag(self, capsys, tmp_path, line, flag):
+        # file values get the same type and choice checks as the flags
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"instance toy\n{line}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        assert f"argument {flag}" in err
+        assert "completed" not in out
+
+
+class TestReproduceFigures:
+    @pytest.mark.parametrize("script_args, sweep_args", [
+        (["--quick"], ["--depths", "1", "3", "10", "32", "100"]),
+        (["--budget-s", "30", "--workers", "2"], ["--budget-s", "30", "--workers", "2"]),
+    ])
+    def test_runs_the_cli_sweep(self, monkeypatch, tmp_path, script_args, sweep_args):
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_figures", SCRIPTS / "reproduce_figures.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        seen = []
+        monkeypatch.setattr(harness, "run_sweep", lambda cfg: seen.append(cfg) or ([], []))
+        monkeypatch.setattr(harness, "emit_fig_data", lambda *args, **kwargs: [])
+        out = tmp_path / "results"
+        assert script.main(["--out", str(out), *script_args]) == 0
+        assert out.is_dir()
+        assert seen == [sweep_config("--toy", *sweep_args)]

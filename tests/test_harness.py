@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from gibbs_qaoa import harness
@@ -23,7 +25,6 @@ FAST_OPTIMIZER = PowellOptions(max_iterations=8, max_evaluations=3000)
 def fast_config(**overrides):
     defaults = dict(
         instance=toy_instance(),
-        instance_label="toy",
         methods=("qaoa", "sbo"),
         schemes=("full", "linearized"),
         depths=(1, 2),
@@ -86,6 +87,15 @@ class TestRunPoint:
         assert rec.n_evaluations > 0
         assert rec.wall_time_s > 0
 
+    def test_point_budget_stops_the_point(self):
+        # point_budget_s is the one wall-clock budget: run_point hands it to
+        # the optimizer, which stops every start at the deadline.
+        point = PointSpec("sbo", "linearized", 2, 1.0)
+        cut = run_point(fast_config(point_budget_s=0.0), point)
+        full = run_point(fast_config(point_budget_s=None), point)
+        assert not cut.converged
+        assert cut.n_evaluations < full.n_evaluations
+
     def test_classical_record_has_per_temperature_tvds(self):
         cfg = fast_config(temperatures=(0.5, 1.0))
         rec = run_point(cfg, PointSpec("qaoa", "full", 1, None))
@@ -126,11 +136,11 @@ class TestRunSweep:
         assert failures[0].point.p == 2
         assert "boom" in failures[0].error
 
-    def test_env_var_overrides_workers(self, monkeypatch):
-        monkeypatch.setenv(harness.ENV_THREADS, "1")
-        assert harness.resolve_workers(7) == 1
-        monkeypatch.delenv(harness.ENV_THREADS)
-        assert harness.resolve_workers(3) == 3
+    def test_workers_come_from_the_config_only(self, monkeypatch):
+        # no environment variable overrides an explicit worker count
+        monkeypatch.setenv("GIBBS_QAOA_THREADS", "3")
+        assert harness.resolve_workers(1) == 1
+        assert harness.resolve_workers(None) == (os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="module")

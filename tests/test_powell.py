@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from gibbs_qaoa.powell import (
-    ObjectiveError,
-    PowellOptions,
-    bracket_minimum,
-    brent_minimum,
-    powell_minimize,
-)
+from gibbs_qaoa.powell import ObjectiveError, PowellOptions, _bracket, _brent, powell_minimize
 
 
 def rosenbrock(v):
@@ -15,23 +9,33 @@ def rosenbrock(v):
     return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
 
 
+def drive(search, f):
+    """Run a line-search generator to its end, evaluating each point with f."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
 class TestLineSearchPieces:
     def test_bracket_surrounds_a_minimum(self):
         f = lambda x: (x - 2.0) ** 2
-        xa, xb, xc, fa, fb, fc = bracket_minimum(f, 0.0, 0.1)
+        xa, xb, xc, fa, fb, fc = drive(_bracket(0.0, 0.1), f)
         assert xa < xb < xc or xc < xb < xa
         assert fb <= fa and fb <= fc
         assert min(xa, xc) <= 2.0 <= max(xa, xc)
 
     def test_bracket_reverses_direction(self):
         f = lambda x: (x + 3.0) ** 2
-        xa, xb, xc, fa, fb, fc = bracket_minimum(f, 0.0, 0.1)
+        xa, xb, xc, fa, fb, fc = drive(_bracket(0.0, 0.1), f)
         assert min(xa, xc) <= -3.0 <= max(xa, xc)
 
     def test_brent_refines_to_tolerance(self):
         f = lambda x: np.cos(x)
-        xa, xb, xc, fa, fb, fc = bracket_minimum(f, 1.0, 1.1)
-        x, fx = brent_minimum(f, xa, xb, xc, fb, xtol=1e-10)
+        xa, xb, xc, fa, fb, fc = drive(_bracket(1.0, 1.1), f)
+        x, fx = drive(_brent(xa, xb, xc, fb, xtol=1e-10), f)
         assert x == pytest.approx(np.pi, abs=1e-6)
         assert fx == pytest.approx(-1.0, abs=1e-12)
 
@@ -171,7 +175,7 @@ class TestLockstep:
         cycles = powell_minimize(rosenbrock, [-1.2, 1.0], PowellOptions(max_iterations=2, ftol=0.0))
         assert cycles.stop == "max_iterations"
         late = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0], [2.0, 2.0]]),
-                               PowellOptions(time_budget=0.0))
+                               time_budget=0.0)
         assert [s.stop for s in late.starts] == ["time_budget"] * 2
 
     def test_single_start_has_no_start_records(self):

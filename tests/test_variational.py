@@ -230,7 +230,7 @@ class TestOptimizeQaoa:
         # The starts run in lockstep, so one deadline cuts every start of the
         # battery short together (each needs hundreds of rounds to converge).
         args = (toy_instance(), CostKind.sbo(1.0), "linearized", 2)
-        out = optimize_qaoa(*args, options=PowellOptions(time_budget=0.01))
+        out = optimize_qaoa(*args, time_budget=0.01)
         assert out.n_starts == 24
         assert [r.stop for r in out.starts] == ["time_budget"] * 24
         assert out.total_evaluations < optimize_qaoa(*args).total_evaluations
