@@ -60,15 +60,9 @@ def _resolve_instance(args) -> tuple[IsingInstance, str]:
 
 # name: (type, default, help) of each optimizer flag.
 OPTIMIZER_FLAGS = {
-    "dt": (float, 1.0, "annealing-ramp time step"),
-    "ftol": (float, PowellOptions.ftol, None),
-    "xtol": (float, PowellOptions.xtol, None),
-    "max_iterations": (int, PowellOptions.max_iterations, None),
-    "max_evaluations": (int, PowellOptions.max_evaluations, None),
+    "max_evaluations": (int, PowellOptions.max_evaluations, "evaluation cap per start"),
     "budget_s": (float, None, "wall-clock safety net per point in seconds "
                               "(default: none; evaluation caps bound each point)"),
-    "restarts": (int, 0, "extra perturbed starts per point"),
-    "seed": (int, 0, None),
 }
 
 
@@ -80,16 +74,12 @@ def _add_optimizer_flags(p: _Parser, with_defaults: bool = True) -> None:
 
 def _optimizer_settings(args) -> dict:
     """SweepConfig keywords from the optimizer flags in `args`, at their
-    defaults where `args` holds None. The flags that are not SweepConfig
-    fields are PowellOptions fields."""
+    defaults where `args` holds None."""
     v = {name: default if getattr(args, name) is None else getattr(args, name)
          for name, (_, default, _) in OPTIMIZER_FLAGS.items()}
     return {
-        "dt": v.pop("dt"),
-        "point_budget_s": v.pop("budget_s"),
-        "restarts": v.pop("restarts"),
-        "seed": v.pop("seed"),
-        "optimizer": PowellOptions(**v),
+        "optimizer": PowellOptions(max_evaluations=v["max_evaluations"]),
+        "point_budget_s": v["budget_s"],
     }
 
 
@@ -225,8 +215,7 @@ def _sweep_config(args) -> harness.SweepConfig:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _sweep_config(args)
-    records, failures = harness.run_sweep(cfg)
+    records, failures = harness.run_sweep(_sweep_config(args))
     print(f"completed {len(records)} of {len(records) + len(failures)} points")
     if args.out_csv:
         harness.emit_csv(records, args.out_csv)
@@ -235,13 +224,14 @@ def cmd_sweep(args) -> int:
         harness.emit_json(records, args.out_json)
         print(f"wrote {args.out_json}")
     if args.fig_dir:
-        wrote = []
-        if "qaoa" in cfg.methods or "sbo" in cfg.methods:
-            wrote += harness.emit_fig_data(records, "fig2", args.fig_dir, svg=args.svg)
-        if "sbo" in cfg.methods:
-            wrote += harness.emit_fig_data(records, "fig3", args.fig_dir, svg=args.svg)
-        for path in wrote:
-            print(f"wrote {path}")
+        for figure in ("fig2", "fig3"):
+            try:
+                paths = harness.emit_fig_data(records, figure, args.fig_dir, svg=args.svg)
+            except harness.MissingPanelData as exc:  # a grid that cannot fill the figure
+                print(f"skipped {figure}: {exc}", file=sys.stderr)
+                continue
+            for path in paths:
+                print(f"wrote {path}")
     if failures:
         print("failed points:", file=sys.stderr)
         for f in failures:

@@ -305,16 +305,6 @@ def _levels(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -1j * distinct, index
 
 
-def densified_mixer(n: int) -> np.ndarray:
-    """Dense sum_i sigma_x^i, for oracle tests."""
-    dim = 1 << n
-    m = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for b in range(n):
-        m[idx, idx ^ (1 << b)] = 1.0
-    return m
-
-
 __all__ = [
     "CostKind",
     "CircuitSimulator",
@@ -323,5 +313,4 @@ __all__ = [
     "apply_mixer",
     "mixer_eigenvalues",
     "hadamard_matrix",
-    "densified_mixer",
 ]

@@ -41,11 +41,8 @@ class SweepConfig:
     schemes: tuple[str, ...] = ("full", "linearized")
     depths: tuple[int, ...] = DEFAULT_DEPTHS
     temperatures: tuple[float, ...] = DEFAULT_TEMPERATURES
-    dt: float = 1.0
     optimizer: PowellOptions = field(default_factory=PowellOptions)
     point_budget_s: float | None = None  # wall-clock safety net per point
-    restarts: int = 0
-    seed: int = 0
     workers: int | None = None
 
     def __post_init__(self):
@@ -114,8 +111,7 @@ def run_point(cfg: SweepConfig, point: PointSpec) -> SweepRecord:
             else CostKind.sbo(point.temperature))
     outcome = optimize_qaoa(
         cfg.instance, kind, point.scheme, point.p,
-        options=cfg.optimizer, dt=cfg.dt, restarts=cfg.restarts, seed=cfg.seed,
-        time_budget=cfg.point_budget_s,
+        options=cfg.optimizer, time_budget=cfg.point_budget_s,
     )
     gs = ground_set(cfg.instance)
     dist = outcome.distribution
@@ -331,46 +327,39 @@ def emit_fig_data(records: list[SweepRecord], figure: str, out_dir, svg: bool = 
     figure "fig2": ground-manifold probabilities vs depth, panels (a)-(d).
     figure "fig3": distance to the target Gibbs distribution vs depth for
     each temperature, panels (a)-(b). With svg=True a simple poly-line plot
-    accompanies each data file.
+    accompanies each data file. Raises MissingPanelData, before writing
+    any file, when the records cannot fill every panel.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
+    panels = []  # (file stem, header, rows, series labels, title)
     if figure == "fig2":
         for panel, method, scheme in FIG2_PANELS:
             rows = _fig2_rows(records, method, scheme)
             if not rows:
                 raise MissingPanelData(f"fig2({panel}): no records for {method}/{scheme}")
-            header = "# p P_1 P_2 P_3 P_GS"
-            path = os.path.join(out_dir, f"fig2{panel}.dat")
-            _write_table(path, header, rows)
-            paths.append(path)
-            if svg:
-                paths.append(_write_svg(
-                    os.path.join(out_dir, f"fig2{panel}.svg"), rows,
-                    ["P_1", "P_2", "P_3", "P_GS"],
-                    title=f"fig2({panel}) {method} {scheme}",
-                ))
+            panels.append((f"fig2{panel}", "# p P_1 P_2 P_3 P_GS", rows,
+                           ["P_1", "P_2", "P_3", "P_GS"], f"fig2({panel}) {method} {scheme}"))
     elif figure == "fig3":
         temps = sorted({r.temperature for r in records
                         if r.method == "sbo" and r.tvd is not None})
         if not temps:
-            raise MissingPanelData("fig3: no sbo records with a reference distance")
+            raise MissingPanelData("no sbo records with a reference distance")
         for panel, scheme in FIG3_PANELS:
             rows = _fig3_rows(records, scheme, temps)
             if not rows:
                 raise MissingPanelData(f"fig3({panel}): no records for sbo/{scheme}")
-            header = "# p " + " ".join(f"D_TVD_T{t!r}" for t in temps)
-            path = os.path.join(out_dir, f"fig3{panel}.dat")
-            _write_table(path, header, rows)
-            paths.append(path)
-            if svg:
-                paths.append(_write_svg(
-                    os.path.join(out_dir, f"fig3{panel}.svg"), rows,
-                    [f"T={t!r}" for t in temps],
-                    title=f"fig3({panel}) sbo {scheme}",
-                ))
+            panels.append((f"fig3{panel}", "# p " + " ".join(f"D_TVD_T{t!r}" for t in temps),
+                           rows, [f"T={t!r}" for t in temps], f"fig3({panel}) sbo {scheme}"))
     else:
         raise ValueError(f"unknown figure {figure!r} (expected fig2 or fig3)")
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for stem, header, rows, labels, title in panels:
+        path = os.path.join(out_dir, f"{stem}.dat")
+        _write_table(path, header, rows)
+        paths.append(path)
+        if svg:
+            paths.append(_write_svg(os.path.join(out_dir, f"{stem}.svg"), rows, labels,
+                                    title=title))
     return paths
 
 

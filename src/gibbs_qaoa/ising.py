@@ -67,6 +67,9 @@ class IsingInstance:
         object.__setattr__(
             self, "couplings", dict(sorted((k, float(v)) for k, v in self.couplings.items()))
         )
+        for value in (*self.couplings.values(), *self.fields):
+            if not math.isfinite(value):
+                raise InstanceError(f"non-finite coupling or field {value!r}")
 
     @property
     def dim(self) -> int:
@@ -317,6 +320,8 @@ def parse_instance(text: str) -> IsingInstance:
                 v = float(tokens[3])
             except ValueError:
                 raise InstanceFormatError(lineno, f"bad j line {line!r}") from None
+            if not math.isfinite(v):
+                raise InstanceFormatError(lineno, f"non-finite coupling {tokens[3]!r}")
             if i == j:
                 raise InstanceFormatError(lineno, f"self-coupling ({i}, {j}) not allowed")
             if not (1 <= i < j <= n):
@@ -336,6 +341,8 @@ def parse_instance(text: str) -> IsingInstance:
                 v = float(tokens[2])
             except ValueError:
                 raise InstanceFormatError(lineno, f"bad h line {line!r}") from None
+            if not math.isfinite(v):
+                raise InstanceFormatError(lineno, f"non-finite field {tokens[2]!r}")
             if not (1 <= i <= n):
                 raise InstanceFormatError(lineno, f"spin index {i} out of range")
             if i in fields:

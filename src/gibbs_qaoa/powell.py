@@ -21,6 +21,15 @@ _GOLD = 1.618034
 _TINY = 1e-21
 _CGOLD = 0.3819660112501051
 _INITIAL_STEP = 0.1  # first bracketing step along a direction
+_GROW_LIMIT = 110.0  # cap on a bracketing step past xb, as a multiple of xc - xb
+_MAX_EXPANSIONS = 500
+_BRENT_ABS_TOL = 1e-11
+_BRENT_MAX_ITERATIONS = 200
+
+# Fixed stopping rules of every search; PowellOptions holds the evaluation cap.
+FTOL = 1e-10          # relative per-cycle objective decrease
+XTOL = 1e-8           # line-search position tolerance
+MAX_ITERATIONS = 100  # direction-set cycles
 
 
 class ObjectiveError(RuntimeError):
@@ -34,11 +43,8 @@ class ObjectiveError(RuntimeError):
 
 @dataclass
 class PowellOptions:
-    """Stopping rules counted in evaluations and cycles, not in wall time."""
+    """The evaluation cap of each start."""
 
-    ftol: float = 1e-10            # relative per-cycle objective decrease
-    xtol: float = 1e-8             # line-search position tolerance
-    max_iterations: int = 100      # direction-set cycles
     max_evaluations: int = 200_000
 
 
@@ -58,7 +64,7 @@ class OptResult:
     winner: int = 0
 
 
-def _bracket(xa: float, xb: float, grow_limit: float = 110.0, max_expansions: int = 500):
+def _bracket(xa: float, xb: float):
     """Expand (xa, xb) downhill with golden-ratio/parabolic steps until a
     triplet xa < xb < xc with f(xb) below both ends is found.
 
@@ -79,8 +85,8 @@ def _bracket(xa: float, xb: float, grow_limit: float = 110.0, max_expansions: in
         val = tmp2 - tmp1
         denom = 2.0 * np.copysign(max(abs(val), _TINY), val)
         w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
-        wlim = xb + grow_limit * (xc - xb)
-        if n > max_expansions:
+        wlim = xb + _GROW_LIMIT * (xc - xb)
+        if n > _MAX_EXPANSIONS:
             raise RuntimeError("bracketing exceeded the expansion limit")
         n += 1
         if (w - xc) * (xb - w) > 0.0:
@@ -110,8 +116,7 @@ def _bracket(xa: float, xb: float, grow_limit: float = 110.0, max_expansions: in
     return xa, xb, xc, fa, fb, fc
 
 
-def _brent(xa: float, xb: float, xc: float, fb: float,
-           xtol: float = 1e-8, abs_tol: float = 1e-11, max_iterations: int = 200):
+def _brent(xa: float, xb: float, xc: float, fb: float):
     """Brent's parabolic/golden-section minimization inside a bracket.
 
     A generator: yields each abscissa, receives its value, returns (x, f(x)).
@@ -120,9 +125,9 @@ def _brent(xa: float, xb: float, xc: float, fb: float,
     x = w = v = xb
     fx = fw = fv = fb
     d = e = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_BRENT_MAX_ITERATIONS):
         xm = 0.5 * (a + b)
-        tol1 = xtol * abs(x) + abs_tol
+        tol1 = XTOL * abs(x) + _BRENT_ABS_TOL
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
@@ -194,7 +199,7 @@ def _powell(x, opts: PowellOptions, deadline: float | None):
 
     def line_min(x, direction, fx):
         xa, xb, xc, fa, fb, fc = yield from along(_bracket(0.0, _INITIAL_STEP), x, direction)
-        t_best, f_best = yield from along(_brent(xa, xb, xc, fb, xtol=opts.xtol), x, direction)
+        t_best, f_best = yield from along(_brent(xa, xb, xc, fb), x, direction)
         if f_best < fx:
             return x + t_best * direction, f_best, t_best * direction
         return x, fx, np.zeros_like(direction)
@@ -223,10 +228,10 @@ def _powell(x, opts: PowellOptions, deadline: float | None):
                 break
         iteration += 1
         trace.append((iteration, fval))
-        if 2.0 * (f_start - fval) <= opts.ftol * (abs(f_start) + abs(fval)) + 1e-20:
+        if 2.0 * (f_start - fval) <= FTOL * (abs(f_start) + abs(fval)) + 1e-20:
             stop = "ftol"
             break
-        if not stop and iteration >= opts.max_iterations:
+        if not stop and iteration >= MAX_ITERATIONS:
             stop = "max_iterations"
         if stop:
             break

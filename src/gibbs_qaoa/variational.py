@@ -47,14 +47,13 @@ class AngleSchedule:
         return np.concatenate([self.gamma, self.beta])
 
 
-def tqa_schedule(p: int, dt: float = DEFAULT_DT) -> AngleSchedule:
-    """Trotterized-annealing ramp: gamma_k = (k/p) dt, beta_k = (1 - k/p) dt."""
+def tqa_schedule(p: int) -> AngleSchedule:
+    """Trotterized-annealing ramp: gamma_k = (k/p) dt, beta_k = (1 - k/p) dt
+    with dt = DEFAULT_DT."""
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got {dt}")
     k = np.arange(1, p + 1) / p
-    return AngleSchedule(gamma=tuple(k * dt), beta=tuple((1.0 - k) * dt))
+    return AngleSchedule(gamma=tuple(k * DEFAULT_DT), beta=tuple((1.0 - k) * DEFAULT_DT))
 
 
 class QaoaProblem:
@@ -119,9 +118,7 @@ def init_scale(kind: CostKind, alpha_value: float) -> float:
     return 1.0
 
 
-def linearized_init_battery(
-    kind: CostKind, dt: float = DEFAULT_DT, alpha_value: float = 0.0
-) -> np.ndarray:
+def linearized_init_battery(kind: CostKind, alpha_value: float = 0.0) -> np.ndarray:
     """Deterministic starting points for linearized runs, one per row:
     (gamma slope, gamma intercept, beta slope, beta intercept).
 
@@ -138,8 +135,8 @@ def linearized_init_battery(
     inits = []
     for kappa in kappas:
         for mu in (1.0, 0.25):
-            inits.append((kappa * dt, 0.0, -mu * dt, mu * dt))
-            inits.append((kappa * dt, 0.0, mu * dt, -mu * dt))
+            inits.append((kappa * DEFAULT_DT, 0.0, -mu * DEFAULT_DT, mu * DEFAULT_DT))
+            inits.append((kappa * DEFAULT_DT, 0.0, mu * DEFAULT_DT, -mu * DEFAULT_DT))
     return np.array(inits)
 
 
@@ -176,9 +173,6 @@ def optimize_qaoa(
     scheme: str,
     p: int,
     options: PowellOptions | None = None,
-    dt: float = DEFAULT_DT,
-    restarts: int = 0,
-    seed: int = 0,
     time_budget: float | None = None,
 ) -> QaoaOutcome:
     """Optimize the angles and return the best run's distribution.
@@ -189,8 +183,7 @@ def optimize_qaoa(
     the Gibbs target at depth (the plain ramp can do better at shallow
     depth). Linearized runs try the deterministic battery of ramp images;
     the 4-dimensional landscape is riddled with poor local minima that the
-    plain ramp image alone falls into. `restarts` adds seeded random
-    perturbations of the first start.
+    plain ramp image alone falls into.
 
     All starts advance in lockstep, one batched objective evaluation per
     round, with the same steps and results as run one by one. `time_budget`
@@ -201,18 +194,13 @@ def optimize_qaoa(
     a = alpha(inst) if kind.method == "sbo" else 0.0
 
     if scheme == "full":
-        ramp = tqa_schedule(p, dt).to_params()
+        ramp = tqa_schedule(p).to_params()
         starts = [ramp]
         scale = init_scale(kind, a)
         if scale != 1.0:
             starts.insert(0, np.concatenate([scale * ramp[:p], ramp[p:]]))
     else:
-        starts = list(linearized_init_battery(kind, dt, a))
-    if restarts > 0:
-        rng = np.random.default_rng(seed)
-        base = starts[0]
-        for _ in range(restarts):
-            starts.append(base + rng.uniform(-0.5, 0.5, size=base.size))
+        starts = list(linearized_init_battery(kind, a))
 
     result = powell_minimize(problem.objective, np.array(starts), options, time_budget)
     schedule = problem.schedule(result.best_params)

@@ -16,7 +16,6 @@ from gibbs_qaoa.evolution import (
     CircuitSimulator,
     CostKind,
     apply_mixer,
-    densified_mixer,
 )
 from gibbs_qaoa.harness import SweepConfig, run_sweep
 from gibbs_qaoa.ising import (
@@ -31,6 +30,8 @@ from gibbs_qaoa.metrics import ground_state_probability
 from gibbs_qaoa.operators import apply_operator, build_sbo, densify
 from gibbs_qaoa.powell import PowellOptions, powell_minimize
 from gibbs_qaoa.variational import AngleSchedule, QaoaProblem, optimize_qaoa, tqa_schedule
+
+from dense_operators import densified_mixer
 
 GIBBS_PGS = {0.5: 0.9759403395375861, 1.0: 0.83591216711007, 2.0: 0.6004463091841173}
 

@@ -94,13 +94,6 @@ class TestUsageErrors:
         assert err.startswith("error:")
         assert "nan" not in out
 
-    @pytest.mark.parametrize("scheme", ["full", "linearized"])
-    def test_nan_time_step(self, capsys, scheme):
-        code, _, err = run_cli(capsys, "run", "--toy", "--method", "qaoa",
-                               "--scheme", scheme, "-p", "1", "--dt", "nan")
-        assert code == 1
-        assert err.startswith("error:")
-
     def test_unreadable_instance(self, capsys):
         code, _, err = run_cli(capsys, "gibbs", "--instance", "/does/not/exist", "-T", "1")
         assert code == 1
@@ -111,7 +104,7 @@ class TestRun:
         out_json = tmp_path / "point.json"
         code, out, _ = run_cli(
             capsys, "run", "--toy", "--method", "qaoa", "--scheme", "full",
-            "-p", "1", "--max-iterations", "5", "--max-evaluations", "500",
+            "-p", "1", "--max-evaluations", "500",
             "--json", str(out_json),
         )
         assert code == 0
@@ -127,8 +120,7 @@ class TestSweep:
         code, out, _ = run_cli(
             capsys, "sweep", "--toy", "--methods", "qaoa", "sbo",
             "--schemes", "full", "linearized", "--depths", "1", "2",
-            "--temperatures", "1.0", "--max-iterations", "6",
-            "--max-evaluations", "2000", "--workers", "1",
+            "--temperatures", "1.0", "--max-evaluations", "2000", "--workers", "1",
             "--out-csv", str(csv_path), "--fig-dir", str(fig_dir), "--svg",
         )
         assert code == 0
@@ -136,6 +128,21 @@ class TestSweep:
         assert csv_path.exists()
         assert (fig_dir / "fig2d.dat").exists()
         assert (fig_dir / "fig3a.svg").exists()
+
+    @pytest.mark.parametrize("grid", [
+        ["--methods", "sbo", "--temperatures", "1.0"],  # no qaoa panels
+        ["--methods", "qaoa", "sbo", "--temperatures", "0.5"],  # no sbo panels at T = 1
+    ])
+    def test_partial_grid_skips_the_figure_it_cannot_fill(self, capsys, tmp_path, grid):
+        fig_dir = tmp_path / "figs"
+        code, out, err = run_cli(
+            capsys, "sweep", "--toy", *grid, "--depths", "1", "--max-evaluations", "200",
+            "--workers", "1", "--fig-dir", str(fig_dir),
+        )
+        assert code == 0
+        assert "skipped fig2: " in err
+        assert not list(fig_dir.glob("fig2*"))  # no panel of a skipped figure
+        assert (fig_dir / "fig3a.dat").exists()
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -146,7 +153,6 @@ class TestSweep:
             "schemes full\n"
             "depths 1\n"
             "max_evaluations 500\n"
-            "max_iterations 4\n"
         )
         out_json = tmp_path / "r.json"
         code, out, _ = run_cli(
@@ -157,11 +163,12 @@ class TestSweep:
         assert len(data) == 1
         assert data[0]["method"] == "qaoa"
 
-    @pytest.mark.parametrize("key", ["max_evals", "depthz", "initial_step"])
+    @pytest.mark.parametrize("key", ["max_evals", "depthz", "initial_step", "dt", "restarts",
+                                     "seed", "ftol", "xtol", "max_iterations"])
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, key):
-        # typos, and initial_step, which the optimizer no longer takes
+        # typos, and settings that the optimizer no longer takes
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"instance toy\nmax_iterations 4\n{key} 10\n")
+        cfg.write_text(f"instance toy\nmax_evaluations 4\n{key} 10\n")
         code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 1
         assert f"config line 3: unknown key '{key}'" in err
@@ -169,13 +176,12 @@ class TestSweep:
 
     def test_explicit_flag_beats_config_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("instance toy\ndt 2.0\nseed 5\nmax_iterations 4\n")
+        cfg.write_text("instance toy\nmax_evaluations 4\ndepths 3\n")
         args = cli.build_parser().parse_args(
-            ["sweep", "--config", str(cfg), "--dt", "1.0", "--seed", "0"])
+            ["sweep", "--config", str(cfg), "--max-evaluations", "200000"])
         sweep = cli._sweep_config(args)
-        assert sweep.dt == 1.0  # equal to the flag's default, still explicit
-        assert sweep.seed == 0
-        assert sweep.optimizer.max_iterations == 4  # from the file
+        assert sweep.optimizer.max_evaluations == 200_000  # the flag's default, still explicit
+        assert sweep.depths == (3,)  # from the file
         assert sweep.point_budget_s == cli.OPTIMIZER_FLAGS["budget_s"][1]
 
     def test_run_flags_keep_defaults(self):
@@ -202,11 +208,8 @@ class TestConfigFile:
             schemes=("full", "linearized"),
             depths=(1, 2, 3, 5, 7, 10),
             temperatures=(0.5, 1.0, 2.0),
-            dt=1.0,
             optimizer=PowellOptions(max_evaluations=50000),
             point_budget_s=120.0,
-            restarts=0,
-            seed=0,
             workers=None,
         )
 

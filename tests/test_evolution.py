@@ -13,7 +13,6 @@ from gibbs_qaoa.evolution import (
     CostKind,
     _apply_even_mixer,
     apply_mixer,
-    densified_mixer,
     hadamard_matrix,
     mixer_eigenvalues,
     plus_state,
@@ -22,6 +21,8 @@ from gibbs_qaoa.evolution import (
 from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
 from gibbs_qaoa.operators import build_sbo, densify
 from gibbs_qaoa.variational import AngleSchedule, tqa_schedule
+
+from dense_operators import densified_mixer
 
 # objective of the unoptimized annealing ramp at p=10, frozen from an
 # independent dense matrix-product simulation

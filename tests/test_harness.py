@@ -19,7 +19,7 @@ from gibbs_qaoa.harness import (
 from gibbs_qaoa.ising import IsingInstance, toy_instance
 from gibbs_qaoa.powell import PowellOptions
 
-FAST_OPTIMIZER = PowellOptions(max_iterations=8, max_evaluations=3000)
+FAST_OPTIMIZER = PowellOptions(max_evaluations=3000)
 
 
 def fast_config(**overrides):

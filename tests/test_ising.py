@@ -44,6 +44,10 @@ def test_instance_validation():
         IsingInstance(n=3, couplings={(2, 1): 1.0})
     with pytest.raises(InstanceError):
         IsingInstance(n=2, couplings={(1, 3): 1.0})
+    with pytest.raises(InstanceError, match="non-finite"):
+        IsingInstance(n=2, couplings={(1, 2): float("nan")})
+    with pytest.raises(InstanceError, match="non-finite"):
+        IsingInstance(n=2, fields=(float("inf"), 0.0))
 
 
 class TestClassicalEnergy:
@@ -220,6 +224,9 @@ class TestParseErrors:
             ("j 1 2 1.0", 1, "n must come before"),
             ("n 2\nq 1", 2, "unknown directive"),
             ("n 2\nj 1 2", 2, "expected"),
+            ("n 2\nj 1 2 nan", 2, "non-finite coupling"),
+            ("n 2\nh 1 inf", 2, "non-finite field"),
+            ("n 2\nj 1 2 1e999", 2, "non-finite coupling"),
         ],
     )
     def test_error_carries_line_number(self, text, lineno, what):

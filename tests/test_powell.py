@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gibbs_qaoa import powell
 from gibbs_qaoa.powell import ObjectiveError, PowellOptions, _bracket, _brent, powell_minimize
 
 
@@ -32,10 +33,11 @@ class TestLineSearchPieces:
         xa, xb, xc, fa, fb, fc = drive(_bracket(0.0, 0.1), f)
         assert min(xa, xc) <= -3.0 <= max(xa, xc)
 
-    def test_brent_refines_to_tolerance(self):
+    def test_brent_refines_to_tolerance(self, monkeypatch):
+        monkeypatch.setattr(powell, "XTOL", 1e-10)
         f = lambda x: np.cos(x)
         xa, xb, xc, fa, fb, fc = drive(_bracket(1.0, 1.1), f)
-        x, fx = drive(_brent(xa, xb, xc, fb, xtol=1e-10), f)
+        x, fx = drive(_brent(xa, xb, xc, fb), f)
         assert x == pytest.approx(np.pi, abs=1e-6)
         assert fx == pytest.approx(-1.0, abs=1e-12)
 
@@ -84,9 +86,10 @@ class TestPowell:
         assert not r.converged
         assert calls <= 50 + 40  # cap checked between line searches
 
-    def test_iteration_cap(self):
-        opts = PowellOptions(max_iterations=2, ftol=0.0)
-        r = powell_minimize(rosenbrock, [-1.2, 1.0], opts)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(powell, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(powell, "FTOL", 0.0)
+        r = powell_minimize(rosenbrock, [-1.2, 1.0])
         assert not r.converged
         assert r.trace[-1][0] == 2
 
@@ -168,11 +171,14 @@ class TestLockstep:
         assert np.array_equal(err.value.point, [3.0])
         assert np.isnan(err.value.value)
 
-    def test_stop_reasons(self):
+    def test_stop_reasons(self, monkeypatch):
         assert powell_minimize(rosenbrock, [-1.2, 1.0]).stop == "ftol"
         capped = powell_minimize(rosenbrock, [-1.2, 1.0], PowellOptions(max_evaluations=30))
         assert capped.stop == "max_evaluations"
-        cycles = powell_minimize(rosenbrock, [-1.2, 1.0], PowellOptions(max_iterations=2, ftol=0.0))
+        with monkeypatch.context() as m:
+            m.setattr(powell, "MAX_ITERATIONS", 2)
+            m.setattr(powell, "FTOL", 0.0)
+            cycles = powell_minimize(rosenbrock, [-1.2, 1.0])
         assert cycles.stop == "max_iterations"
         late = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0], [2.0, 2.0]]),
                                time_budget=0.0)
