@@ -40,11 +40,6 @@ from .operators import (
     local_diagonal,
 )
 from .powell import ObjectiveError, OptResult, PowellOptions, powell_minimize
-from .variational import (
-    AngleSchedule,
-    QaoaProblem,
-    optimize_qaoa,
-    tqa_schedule,
-)
+from .variational import QaoaProblem, optimize_qaoa
 
 __version__ = "0.1.0"

@@ -267,14 +267,9 @@ class CircuitSimulator:
         # one dot per row: a matrix-vector product would round differently
         return np.array([np.dot(self.cost_eigs, row) for row in probs])
 
-    def run(self, schedule) -> np.ndarray:
-        return self.run_angles(np.asarray(schedule.gamma), np.asarray(schedule.beta))
-
-    def objective(self, schedule) -> float:
-        return self.objective_angles(np.asarray(schedule.gamma), np.asarray(schedule.beta))
-
-    def probabilities(self, schedule) -> np.ndarray:
-        return probabilities(self.run(schedule))
+    def probabilities(self, schedule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Measurement distribution of the final state of (gammas, betas)."""
+        return probabilities(self.run_angles(*schedule))
 
 
 def _apply_even_mixer(u: np.ndarray, beta) -> np.ndarray:

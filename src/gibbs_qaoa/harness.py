@@ -58,6 +58,10 @@ class SweepConfig:
             raise ValueError("depths must be strictly increasing")
         if not all(t > 0 for t in self.temperatures):
             raise ValueError("temperatures must be positive")
+        if self.point_budget_s is not None and not self.point_budget_s >= 0.0:
+            raise ValueError(f"point budget must be >= 0 seconds, got {self.point_budget_s!r}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -151,9 +155,8 @@ class SweepFailure:
 
 
 def resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    return os.cpu_count() or 1
+    """Worker processes of a sweep: `requested`, or one per core."""
+    return requested if requested is not None else os.cpu_count() or 1
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRecord], list[SweepFailure]]:

@@ -47,6 +47,10 @@ class PowellOptions:
 
     max_evaluations: int = 200_000
 
+    def __post_init__(self):
+        if not self.max_evaluations >= 1:
+            raise ValueError(f"evaluation cap must be >= 1, got {self.max_evaluations!r}")
+
 
 @dataclass
 class OptResult:
@@ -228,7 +232,10 @@ def _powell(x, opts: PowellOptions, deadline: float | None):
                 break
         iteration += 1
         trace.append((iteration, fval))
-        if 2.0 * (f_start - fval) <= FTOL * (abs(f_start) + abs(fval)) + 1e-20:
+        # A cycle the cap or the deadline cut short has not searched every
+        # direction, so its decrease cannot tell convergence.
+        cut = stop is not None and i < dims - 1
+        if not cut and 2.0 * (f_start - fval) <= FTOL * (abs(f_start) + abs(fval)) + 1e-20:
             stop = "ftol"
             break
         if not stop and iteration >= MAX_ITERATIONS:
@@ -280,6 +287,8 @@ def powell_minimize(func, x0, options: PowellOptions | None = None,
     strictly better.
     """
     opts = options or PowellOptions()
+    if time_budget is not None and not time_budget >= 0.0:
+        raise ValueError(f"wall-clock budget must be >= 0 seconds, got {time_budget!r}")
     deadline = None if time_budget is None else time.perf_counter() + time_budget
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim > 2:

@@ -24,38 +24,6 @@ DEFAULT_DT = 1.0
 MAX_INIT_SCALE = 4096.0
 
 
-@dataclass(frozen=True)
-class AngleSchedule:
-    """Per-layer cost angles gamma_k and mixer angles beta_k, k = 1..p."""
-
-    gamma: tuple[float, ...]
-    beta: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.gamma) != len(self.beta):
-            raise ValueError("gamma and beta must have equal length")
-        if len(self.gamma) < 1:
-            raise ValueError("schedules need at least one layer")
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-
-    @property
-    def p(self) -> int:
-        return len(self.gamma)
-
-    def to_params(self) -> np.ndarray:
-        return np.concatenate([self.gamma, self.beta])
-
-
-def tqa_schedule(p: int) -> AngleSchedule:
-    """Trotterized-annealing ramp: gamma_k = (k/p) dt, beta_k = (1 - k/p) dt
-    with dt = DEFAULT_DT."""
-    if p < 1:
-        raise ValueError(f"depth must be >= 1, got {p}")
-    k = np.arange(1, p + 1) / p
-    return AngleSchedule(gamma=tuple(k * DEFAULT_DT), beta=tuple((1.0 - k) * DEFAULT_DT))
-
-
 class QaoaProblem:
     """Objective callable binding an instance, cost kind, scheme, and depth.
 
@@ -75,7 +43,7 @@ class QaoaProblem:
         self.simulator = CircuitSimulator(inst, kind)
         self._k = np.arange(1, p + 1) / p
 
-    def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def schedule(self, params) -> tuple[np.ndarray, np.ndarray]:
         """Per-layer (gammas, betas) of a parameter vector.
 
         Full scheme: the 2p angles, gammas first. Linearized scheme:
@@ -93,17 +61,34 @@ class QaoaProblem:
             return params[..., : self.p].T, params[..., self.p:].T
         if size != 4:
             raise ValueError(f"linearized scheme needs 4 parameters, got {size}")
-        return (np.multiply.outer(self._k, params[..., 0]) + params[..., 1],
-                np.multiply.outer(self._k, params[..., 2]) + params[..., 3])
+        return self._ramp(params)
+
+    def _ramp(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The linearized schedule of (..., 4) slopes and intercepts."""
+        return (np.multiply.outer(self._k, lines[..., 0]) + lines[..., 1],
+                np.multiply.outer(self._k, lines[..., 2]) + lines[..., 3])
 
     def objective(self, params):
         """Objective of a parameter vector, or the K values of a (K, dims) array."""
-        gammas, betas = self.split(params)
-        return self.simulator.objective_angles(gammas, betas)
+        return self.simulator.objective_angles(*self.schedule(params))
 
-    def schedule(self, params) -> AngleSchedule:
-        gammas, betas = self.split(params)
-        return AngleSchedule(gamma=tuple(gammas), beta=tuple(betas))
+    def starts(self) -> np.ndarray:
+        """The deterministic starting points of optimize_qaoa, one per row
+        (row i starts the run `QaoaOutcome.starts[i]`).
+
+        Linearized scheme: `linearized_init_battery`. Full scheme: the 2p
+        angles of the ramp images (kappa dt, 0, -dt, dt) of the annealing
+        schedule, first with the sbo cost-angle scale kappa = init_scale
+        (when it is not 1), then the plain ramp, kappa = 1.
+        """
+        a = alpha(self.inst) if self.kind.method == "sbo" else 0.0
+        if self.scheme == "linearized":
+            return linearized_init_battery(self.kind, a)
+        scale = init_scale(self.kind, a)
+        kappas = (1.0,) if scale == 1.0 else (scale, 1.0)
+        gammas, betas = self._ramp(
+            np.array([(kappa * DEFAULT_DT, 0.0, -DEFAULT_DT, DEFAULT_DT) for kappa in kappas]))
+        return np.concatenate((gammas, betas)).T
 
 
 def init_scale(kind: CostKind, alpha_value: float) -> float:
@@ -145,7 +130,7 @@ class QaoaOutcome:
     """Winning optimization run plus the measurement distribution it yields."""
 
     result: OptResult  # the winning start's run; result.starts holds every start's
-    schedule: AngleSchedule
+    schedule: tuple[np.ndarray, np.ndarray]  # the winner's (gammas, betas)
     distribution: np.ndarray
 
     @property
@@ -177,13 +162,14 @@ def optimize_qaoa(
 ) -> QaoaOutcome:
     """Optimize the angles and return the best run's distribution.
 
-    Every run keeps the best final objective over its starts. Full-scheme
-    runs start from the annealing ramp; for the sbo cost they first try the
-    ramp with its cost angles scaled by init_scale, which is what reaches
-    the Gibbs target at depth (the plain ramp can do better at shallow
-    depth). Linearized runs try the deterministic battery of ramp images;
-    the 4-dimensional landscape is riddled with poor local minima that the
-    plain ramp image alone falls into.
+    Every run keeps the best final objective over its starts
+    (`QaoaProblem.starts`). Full-scheme runs start from the annealing ramp;
+    for the sbo cost they first try the ramp with its cost angles scaled by
+    init_scale, which is what reaches the Gibbs target at depth (the plain
+    ramp can do better at shallow depth). Linearized runs try the
+    deterministic battery of ramp images; the 4-dimensional landscape is
+    riddled with poor local minima that the plain ramp image alone falls
+    into.
 
     All starts advance in lockstep, one batched objective evaluation per
     round, with the same steps and results as run one by one. `time_budget`
@@ -191,18 +177,7 @@ def optimize_qaoa(
     running stops at it, and the best of what each reached wins.
     """
     problem = QaoaProblem(inst, kind, scheme, p)
-    a = alpha(inst) if kind.method == "sbo" else 0.0
-
-    if scheme == "full":
-        ramp = tqa_schedule(p).to_params()
-        starts = [ramp]
-        scale = init_scale(kind, a)
-        if scale != 1.0:
-            starts.insert(0, np.concatenate([scale * ramp[:p], ramp[p:]]))
-    else:
-        starts = list(linearized_init_battery(kind, a))
-
-    result = powell_minimize(problem.objective, np.array(starts), options, time_budget)
+    result = powell_minimize(problem.objective, problem.starts(), options, time_budget)
     schedule = problem.schedule(result.best_params)
     distribution = problem.simulator.probabilities(schedule)
     return QaoaOutcome(result=result, schedule=schedule, distribution=distribution)

@@ -29,7 +29,7 @@ from gibbs_qaoa.ising import (
 from gibbs_qaoa.metrics import ground_state_probability
 from gibbs_qaoa.operators import apply_operator, build_sbo, densify
 from gibbs_qaoa.powell import PowellOptions, powell_minimize
-from gibbs_qaoa.variational import AngleSchedule, QaoaProblem, optimize_qaoa, tqa_schedule
+from gibbs_qaoa.variational import QaoaProblem, optimize_qaoa
 
 from dense_operators import densified_mixer
 
@@ -155,7 +155,7 @@ def test_criterion_4_qaoa_bias(qaoa_full_scan, toy_gs):
         # atypically fair local optimum: rerun once from a perturbed start
         problem = QaoaProblem(toy_instance(), CostKind.classical(), "full", first_p)
         rng = np.random.default_rng(7)
-        x0 = tqa_schedule(first_p).to_params() + rng.uniform(-0.5, 0.5, 2 * first_p)
+        x0 = problem.starts()[-1] + rng.uniform(-0.5, 0.5, 2 * first_p)  # perturbed ramp
         rerun = powell_minimize(problem.objective, x0, PowellOptions())
         probs = problem.simulator.probabilities(problem.schedule(rerun.best_params))
         gap2 = fairness_gap(orbit_probabilities(probs, toy_gs))
@@ -247,10 +247,8 @@ def test_criterion_8_numerical_kernel_suite(toy_gs):
             np.exp(-1j * beta * decomp.eigenvalues) * (decomp.eigenvectors.T @ psi)
         )
         mixer_err = max(mixer_err, float(np.abs(apply_mixer(psi, beta) - expected).max()))
-    sched = AngleSchedule(
-        gamma=tuple(rng.uniform(-2, 2, 100)), beta=tuple(rng.uniform(-2, 2, 100))
-    )
-    psi = CircuitSimulator(toy_instance(), CostKind.sbo(1.0)).run(sched)
+    gammas, betas = rng.uniform(-2, 2, 100), rng.uniform(-2, 2, 100)
+    psi = CircuitSimulator(toy_instance(), CostKind.sbo(1.0)).run_angles(gammas, betas)
     drift = abs(np.linalg.norm(psi) - 1.0)
     probs = np.abs(psi) ** 2
     flip_err = float(np.abs(probs - probs[np.arange(32) ^ 31]).max())

@@ -94,6 +94,23 @@ class TestUsageErrors:
         assert err.startswith("error:")
         assert "nan" not in out
 
+    @pytest.mark.parametrize("argv, value", [
+        ("run --max-evaluations 0", "0"),
+        ("run --max-evaluations -5", "-5"),
+        ("run --budget-s -1", "-1.0"),
+        ("run --budget-s nan", "nan"),
+        ("sweep --workers 0", "0"),
+        ("sweep --workers -3", "-3"),
+    ], ids=lambda arg: arg.replace(" ", "_"))
+    def test_bad_number_is_usage_error(self, capsys, argv, value):
+        command, *flags = argv.split()
+        grid = (["--method", "qaoa", "-p", "1"] if command == "run" else
+                ["--methods", "qaoa", "--schemes", "full", "--depths", "1"])
+        code, out, err = run_cli(capsys, command, "--toy", *grid, *flags)
+        assert code == 1
+        assert err.startswith("error:") and value in err
+        assert "p_gs" not in out and "completed" not in out
+
     def test_unreadable_instance(self, capsys):
         code, _, err = run_cli(capsys, "gibbs", "--instance", "/does/not/exist", "-T", "1")
         assert code == 1

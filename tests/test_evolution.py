@@ -20,7 +20,7 @@ from gibbs_qaoa.evolution import (
 )
 from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
 from gibbs_qaoa.operators import build_sbo, densify
-from gibbs_qaoa.variational import AngleSchedule, tqa_schedule
+from gibbs_qaoa.variational import QaoaProblem
 
 from dense_operators import densified_mixer
 
@@ -137,14 +137,14 @@ class TestMixer:
 
 class TestRunCircuit:
     def test_zero_angles_give_plus_state(self):
-        sched = AngleSchedule(gamma=(0.0,), beta=(0.0,))
-        psi = CircuitSimulator(toy_instance(), CostKind.classical()).run(sched)
+        psi = CircuitSimulator(toy_instance(), CostKind.classical()).run_angles([0.0], [0.0])
         assert np.allclose(psi, plus_state(5), atol=1e-14)
 
     def test_tqa_p10_matches_dense_oracle(self):
-        sim = CircuitSimulator(toy_instance(), CostKind.classical())
-        sched = tqa_schedule(10)
-        assert sim.objective(sched) == pytest.approx(TQA_P10_OBJECTIVE, abs=1e-10)
+        problem = QaoaProblem(toy_instance(), CostKind.classical(), "full", 10)
+        sim = problem.simulator
+        sched = problem.schedule(problem.starts()[-1])  # the annealing ramp
+        assert sim.objective_angles(*sched) == pytest.approx(TQA_P10_OBJECTIVE, abs=1e-10)
         probs = sim.probabilities(sched)
         pgs = sum(probs[s] for s in (0, 3, 7, 24, 28, 31))
         assert pgs == pytest.approx(TQA_P10_PGS, abs=1e-10)
@@ -152,18 +152,14 @@ class TestRunCircuit:
     @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(1.0)])
     def test_norm_preserved_at_depth_100(self, kind):
         rng = np.random.default_rng(4)
-        sched = AngleSchedule(
-            gamma=tuple(rng.uniform(-2, 2, 100)), beta=tuple(rng.uniform(-2, 2, 100))
-        )
-        psi = CircuitSimulator(toy_instance(), kind).run(sched)
+        gammas, betas = rng.uniform(-2, 2, 100), rng.uniform(-2, 2, 100)
+        psi = CircuitSimulator(toy_instance(), kind).run_angles(gammas, betas)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(0.7)])
     def test_global_flip_symmetry(self, kind):
         rng = np.random.default_rng(5)
-        sched = AngleSchedule(
-            gamma=tuple(rng.uniform(-2, 2, 7)), beta=tuple(rng.uniform(-2, 2, 7))
-        )
+        sched = rng.uniform(-2, 2, 7), rng.uniform(-2, 2, 7)
         probs = CircuitSimulator(toy_instance(), kind).probabilities(sched)
         flipped = probs[np.arange(32) ^ 31]
         assert np.abs(probs - flipped).max() <= 1e-10
@@ -174,8 +170,8 @@ class TestRunCircuit:
         g = rng.uniform(-1, 1, 6)
         b = rng.uniform(-1, 1, 6)
         sim = CircuitSimulator(toy_instance(), kind)
-        once = sim.run(AngleSchedule(gamma=tuple(g), beta=tuple(b)))
-        first = sim.run(AngleSchedule(gamma=tuple(g[:3]), beta=tuple(b[:3])))
+        once = sim.run_angles(g, b)
+        first = sim.run_angles(g[:3], b[:3])
         # continue from `first` by applying the remaining layers manually
         if kind.method == "classical":
             lam, v = energy_table(toy_instance()), np.eye(32)
@@ -195,7 +191,7 @@ class TestRunCircuit:
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
-        sched = AngleSchedule(gamma=tuple(rng.uniform(-1, 1, 4)), beta=tuple(rng.uniform(-1, 1, 4)))
+        sched = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
         probs = CircuitSimulator(toy_instance(), CostKind.sbo(2.0)).probabilities(sched)
         assert abs(probs.sum() - 1.0) <= 1e-12
 

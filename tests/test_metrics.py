@@ -17,7 +17,6 @@ from gibbs_qaoa.metrics import (
     orbit_probabilities,
     total_variation_distance,
 )
-from gibbs_qaoa.variational import AngleSchedule
 
 GIBBS_PGS_T1 = 0.83591216711007
 GIBBS_ORBIT_T1 = 0.27863738903669
@@ -123,7 +122,7 @@ def test_tvd_symmetry_and_triangle(a, b, c):
 def test_orbit_members_carry_equal_probability(toy_gs):
     # circuit outputs inherit the global flip symmetry exactly
     rng = np.random.default_rng(9)
-    sched = AngleSchedule(gamma=tuple(rng.uniform(-2, 2, 6)), beta=tuple(rng.uniform(-2, 2, 6)))
+    sched = rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6)
     for kind in (CostKind.classical(), CostKind.sbo(1.0)):
         probs = CircuitSimulator(toy_instance(), kind).probabilities(sched)
         for (a, b) in toy_gs.orbits:

@@ -184,6 +184,24 @@ class TestLockstep:
                                time_budget=0.0)
         assert [s.stop for s in late.starts] == ["time_budget"] * 2
 
+    def test_cut_cycle_is_not_converged(self):
+        # The cap cuts the first cycle after its first line search: the
+        # second direction, where the minimum lies, was never searched.
+        r = powell_minimize(lambda v: (v[1] - 1) ** 2, [0, 0], PowellOptions(max_evaluations=5))
+        assert (r.best_value, r.n_evaluations) == (1.0, 40)
+        assert r.stop == "max_evaluations"
+        assert not r.converged
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match=str(cap)):
+            PowellOptions(max_evaluations=cap)
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_bad_time_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match=str(budget)):
+            powell_minimize(rosenbrock, [-1.2, 1.0], time_budget=budget)
+
     def test_single_start_has_no_start_records(self):
         r = powell_minimize(rosenbrock, [-1.2, 1.0])
         assert r.starts == [] and r.winner == 0

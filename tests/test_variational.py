@@ -10,68 +10,88 @@ from gibbs_qaoa.ising import IsingInstance, toy_instance
 from gibbs_qaoa.operators import alpha
 from gibbs_qaoa.powell import PowellOptions, powell_minimize
 from gibbs_qaoa.variational import (
-    AngleSchedule,
     QaoaProblem,
     init_scale,
     linearized_init_battery,
     optimize_qaoa,
-    tqa_schedule,
 )
 
 
 def linearized(params, p):
-    """Schedule of a linearized parameter vector at depth p."""
-    return QaoaProblem(toy_instance(), CostKind.classical(), "linearized", p).schedule(params)
+    """(gammas, betas) of a linearized parameter vector at depth p, as tuples."""
+    problem = QaoaProblem(toy_instance(), CostKind.classical(), "linearized", p)
+    return tuple(map(tuple, problem.schedule(params)))
+
+
+def annealing_ramp(p):
+    """(gammas, betas) of the plain annealing ramp, the last full-scheme
+    start at depth p, as tuples."""
+    problem = QaoaProblem(toy_instance(), CostKind.classical(), "full", p)
+    return tuple(map(tuple, problem.schedule(problem.starts()[-1])))
 
 
 class TestSchedules:
     def test_tqa_p2(self):
-        s = tqa_schedule(2)
-        assert s.gamma == (0.5, 1.0)
-        assert s.beta == (0.5, 0.0)
+        gamma, beta = annealing_ramp(2)
+        assert gamma == (0.5, 1.0)
+        assert beta == (0.5, 0.0)
 
     def test_tqa_p1(self):
-        s = tqa_schedule(1)
-        assert s.gamma == (1.0,)
-        assert s.beta == (0.0,)
+        gamma, beta = annealing_ramp(1)
+        assert gamma == (1.0,)
+        assert beta == (0.0,)
 
     def test_linear_reproduces_tqa(self):
-        s = linearized([1.0, 0.0, -1.0, 1.0], 2)
-        assert s.gamma == (0.5, 1.0)
-        assert s.beta == (0.5, 0.0)
+        gamma, beta = linearized([1.0, 0.0, -1.0, 1.0], 2)
+        assert gamma == (0.5, 1.0)
+        assert beta == (0.5, 0.0)
 
     def test_linear_constant(self):
-        s = linearized([0.0, 0.4, 0.0, -0.2], 3)
-        assert s.gamma == (0.4, 0.4, 0.4)
-        assert s.beta == (-0.2, -0.2, -0.2)
+        gamma, beta = linearized([0.0, 0.4, 0.0, -0.2], 3)
+        assert gamma == (0.4, 0.4, 0.4)
+        assert beta == (-0.2, -0.2, -0.2)
 
     def test_linear_ramp(self):
-        s = linearized([2.0, 1.0, 0.0, 0.0], 4)
-        assert s.gamma == (1.5, 2.0, 2.5, 3.0)
+        gamma, _ = linearized([2.0, 1.0, 0.0, 0.0], 4)
+        assert gamma == (1.5, 2.0, 2.5, 3.0)
 
     def test_init_equivalence_exact(self):
         for p in (1, 2, 5, 17, 100):
             # the battery's first start is the annealing ramp's image
             image = linearized(linearized_init_battery(CostKind.classical())[0], p)
-            direct = tqa_schedule(p)
-            assert image.gamma == direct.gamma
-            assert image.beta == direct.beta
+            direct = annealing_ramp(p)
+            assert image[0] == direct[0]
+            assert image[1] == direct[1]
 
     def test_schedule_validation(self):
+        sim = QaoaProblem(toy_instance(), CostKind.classical(), "full", 1).simulator
         with pytest.raises(ValueError):
-            AngleSchedule(gamma=(1.0,), beta=())
+            sim.run_angles([1.0], [])
         with pytest.raises(ValueError):
-            AngleSchedule(gamma=(), beta=())
-        with pytest.raises(ValueError):
-            tqa_schedule(0)
+            QaoaProblem(toy_instance(), CostKind.classical(), "full", 0)
 
     def test_schedule_from_params(self):
-        s = QaoaProblem(toy_instance(), CostKind.classical(), "full", 2).schedule(
+        gammas, betas = QaoaProblem(toy_instance(), CostKind.classical(), "full", 2).schedule(
             [0.1, 0.2, 0.3, 0.4])
-        assert s.gamma == (0.1, 0.2)
-        assert s.beta == (0.3, 0.4)
-        lin = QaoaProblem(toy_instance(), CostKind.classical(), "linearized", 2)
-        assert lin.schedule([1.0, 0.0, -1.0, 1.0]) == tqa_schedule(2)
+        assert tuple(gammas) == (0.1, 0.2)
+        assert tuple(betas) == (0.3, 0.4)
+        assert linearized([1.0, 0.0, -1.0, 1.0], 2) == annealing_ramp(2)
+
+    # On the toy (alpha = 4), T = 0.5, 1, 2 give the scales e^8, e^4 and e^2.
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 15, 100])
+    def test_full_scheme_starts_are_ramp_images(self, temperature, p):
+        # The scaled start is the plain ramp with its cost angles scaled,
+        # bit for bit, and both are ramp images under the linearized map.
+        kind = CostKind.sbo(temperature)
+        full = QaoaProblem(toy_instance(), kind, "full", p)
+        scale = init_scale(kind, alpha(toy_instance()))
+        ramp = np.concatenate([np.arange(1, p + 1) / p, 1.0 - np.arange(1, p + 1) / p])
+        scaled = np.concatenate([scale * ramp[:p], ramp[p:]])
+        assert np.array_equal(full.starts(), [scaled, ramp])
+        lin = QaoaProblem(toy_instance(), kind, "linearized", p)
+        for start, image in zip(full.starts(), [(scale, 0.0, -1.0, 1.0), (1.0, 0.0, -1.0, 1.0)]):
+            assert np.array_equal(np.concatenate(lin.schedule(image)), start)
 
 
 class TestObjective:
@@ -149,7 +169,7 @@ class TestOptimizeQaoa:
         lin = optimize_qaoa(inst, kind, "linearized", 3)
         problem = QaoaProblem(inst, kind, "full", 3)
         warm = powell_minimize(
-            problem.objective, lin.schedule.to_params(), PowellOptions()
+            problem.objective, np.concatenate(lin.schedule), PowellOptions()
         )
         assert warm.best_value <= lin.result.best_value + 1e-9
 
@@ -165,7 +185,7 @@ class TestOptimizeQaoa:
         out = optimize_qaoa(inst, kind, "full", 1)
         assert out.n_starts == 2
         problem = QaoaProblem(inst, kind, "full", 1)
-        plain = powell_minimize(problem.objective, tqa_schedule(1).to_params())
+        plain = powell_minimize(problem.objective, problem.starts()[-1])
         assert out.result.best_value <= plain.best_value
         assert init_scale(kind, alpha(inst)) == pytest.approx(np.exp(8.0))
 
@@ -191,7 +211,7 @@ class TestOptimizeQaoa:
         out = optimize_qaoa(inst, kind, scheme, p, options=opts)
         problem = QaoaProblem(inst, kind, scheme, p)
         if scheme == "full":
-            ramp = tqa_schedule(p).to_params()
+            ramp = problem.starts()[-1]
             scaled = np.concatenate([init_scale(kind, alpha(inst)) * ramp[:p], ramp[p:]])
             starts = [scaled, ramp]
         else:
