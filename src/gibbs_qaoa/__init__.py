@@ -3,13 +3,7 @@ and Gibbs-targeting alternating-operator circuits on small Ising instances.
 """
 
 from .eigensolver import EigenDecomposition, EigenSolverError, eigh
-from .evolution import (
-    CircuitSimulator,
-    CostKind,
-    apply_mixer,
-    plus_state,
-    probabilities,
-)
+from .evolution import CircuitSimulator, CostKind, apply_mixer, plus_state
 from .ising import (
     GibbsDistribution,
     GroundSet,
@@ -22,7 +16,6 @@ from .ising import (
     gibbs_distribution,
     ground_set,
     parse_instance,
-    render_instance,
     toy_instance,
 )
 from .metrics import (

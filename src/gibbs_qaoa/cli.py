@@ -29,6 +29,7 @@ from .ising import (
 from .metrics import ground_state_probability, orbit_probabilities
 from .operators import apply_operator, build_sbo, densify
 from .powell import ObjectiveError, PowellOptions
+from .variational import SCHEMES
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -58,29 +59,17 @@ def _resolve_instance(args) -> tuple[IsingInstance, str]:
     return load_instance(args.instance), args.instance
 
 
-# name: (type, default, help) of each optimizer flag.
-OPTIMIZER_FLAGS = {
-    "max_evaluations": (int, PowellOptions.max_evaluations, "evaluation cap per start"),
-    "budget_s": (float, None, "wall-clock safety net per point in seconds "
-                              "(default: none; evaluation caps bound each point)"),
-}
-
-
-def _add_optimizer_flags(p: _Parser, with_defaults: bool = True) -> None:
-    for name, (cast, default, help_text) in OPTIMIZER_FLAGS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=cast,
-                       default=default if with_defaults else None, help=help_text)
+def _add_optimizer_flags(p: _Parser) -> None:
+    p.add_argument("--max-evaluations", type=int, help="evaluation cap per start")
+    p.add_argument("--budget-s", type=float,
+                   help="wall-clock safety net per point in seconds "
+                        "(default: none; evaluation caps bound each point)")
 
 
 def _optimizer_settings(args) -> dict:
-    """SweepConfig keywords from the optimizer flags in `args`, at their
-    defaults where `args` holds None."""
-    v = {name: default if getattr(args, name) is None else getattr(args, name)
-         for name, (_, default, _) in OPTIMIZER_FLAGS.items()}
-    return {
-        "optimizer": PowellOptions(max_evaluations=v["max_evaluations"]),
-        "point_budget_s": v["budget_s"],
-    }
+    """SweepConfig keywords from the optimizer flags in `args`."""
+    cap = PowellOptions.max_evaluations if args.max_evaluations is None else args.max_evaluations
+    return {"optimizer": PowellOptions(max_evaluations=cap), "point_budget_s": args.budget_s}
 
 
 def build_parser() -> _Parser:
@@ -92,7 +81,7 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="optimize a single (method, scheme, p, T) point")
     _add_instance_flags(p_run)
     p_run.add_argument("--method", choices=harness.METHODS, required=True)
-    p_run.add_argument("--scheme", choices=("full", "linearized"), default="full")
+    p_run.add_argument("--scheme", choices=SCHEMES, default="full")
     p_run.add_argument("-p", "--depth", type=int, required=True)
     p_run.add_argument("-T", "--temperature", type=float, default=None,
                        help="required for method sbo")
@@ -107,10 +96,10 @@ def build_parser() -> _Parser:
     inst_group.add_argument("--toy", action="store_true", default=None)
     inst_group.add_argument("--instance", metavar="PATH")
     p_sweep.add_argument("--methods", nargs="+", choices=harness.METHODS)
-    p_sweep.add_argument("--schemes", nargs="+", choices=("full", "linearized"))
+    p_sweep.add_argument("--schemes", nargs="+", choices=SCHEMES)
     p_sweep.add_argument("--depths", nargs="+", type=int)
     p_sweep.add_argument("--temperatures", nargs="+", type=float)
-    _add_optimizer_flags(p_sweep, with_defaults=False)
+    _add_optimizer_flags(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="worker processes (default: one per core)")
     p_sweep.add_argument("--out-csv", metavar="PATH")
@@ -165,8 +154,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-# Config-file keys besides the OPTIMIZER_FLAGS names.
-SWEEP_KEYS = ("instance", "methods", "schemes", "depths", "temperatures", "workers")
+# Config-file keys: the sweep flags a file may set.
+SWEEP_KEYS = ("instance", "methods", "schemes", "depths", "temperatures",
+              "max_evaluations", "budget_s", "workers")
 
 
 def _parse_config_file(path) -> argparse.Namespace:
@@ -183,7 +173,7 @@ def _parse_config_file(path) -> argparse.Namespace:
             if not values or any(v.startswith("--") for v in values):
                 raise ValueError(f"config line {lineno}: expected '<key> <value...>'")
             key = key.lower()
-            if key not in SWEEP_KEYS and key not in OPTIMIZER_FLAGS:
+            if key not in SWEEP_KEYS:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             if key == "instance" and values == ["toy"]:
                 tokens.append("--toy")
@@ -206,7 +196,7 @@ def _sweep_config(args) -> harness.SweepConfig:
     return harness.SweepConfig(
         instance=_resolve_instance(args)[0],
         methods=tuple(args.methods or harness.METHODS),
-        schemes=tuple(args.schemes or ("full", "linearized")),
+        schemes=tuple(args.schemes or SCHEMES),
         depths=tuple(args.depths or harness.DEFAULT_DEPTHS),
         temperatures=tuple(args.temperatures or harness.DEFAULT_TEMPERATURES),
         **_optimizer_settings(args),
@@ -303,6 +293,15 @@ def cmd_oracle(args) -> int:
     return status
 
 
+COMMANDS = {
+    "run": cmd_run,
+    "sweep": cmd_sweep,
+    "verify-instance": cmd_verify_instance,
+    "gibbs": cmd_gibbs,
+    "oracle": cmd_oracle,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -315,20 +314,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "verify-instance":
-            return cmd_verify_instance(args)
-        if args.command == "gibbs":
-            return cmd_gibbs(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
+        return COMMANDS[args.command](args)
     except (InstanceError, ValueError, ObjectiveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

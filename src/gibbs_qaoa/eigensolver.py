@@ -26,10 +26,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
     """Diagonalize a real symmetric matrix.

@@ -71,11 +71,6 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(dim, dim ** -0.5, dtype=complex)
 
 
-def probabilities(psi: np.ndarray) -> np.ndarray:
-    """Measurement distribution of a normalized state."""
-    return np.abs(psi) ** 2
-
-
 def apply_mixer(psi: np.ndarray, beta) -> np.ndarray:
     """exp(-i beta sum_i sigma_x^i), as dense blocks of at most 5 spins.
 
@@ -212,7 +207,7 @@ class CircuitSimulator:
         """
         if self._eig is None or not self.sector:
             return self._eig
-        return EigenDecomposition(self._eig.eigenvalues, _embed(self._eig.eigenvectors))
+        return EigenDecomposition(self._eig.eigenvalues, _embed(self._eig.eigenvectors, axis=0))
 
     def _run(self, gammas, betas) -> np.ndarray:
         """Final state of a schedule, as coefficients in the cost eigenbasis.
@@ -251,7 +246,8 @@ class CircuitSimulator:
         return c.reshape(*batch, -1)
 
     def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """Final state vector in the computational basis."""
+        """Final state vector in the computational basis; angles of shape
+        (p, K) give the K final states as rows."""
         u = self._from_cost(self._run(gammas, betas))
         return _embed(u) if self.sector else u
 
@@ -269,7 +265,7 @@ class CircuitSimulator:
 
     def probabilities(self, schedule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Measurement distribution of the final state of (gammas, betas)."""
-        return probabilities(self.run_angles(*schedule))
+        return np.abs(self.run_angles(*schedule)) ** 2
 
 
 def _apply_even_mixer(u: np.ndarray, beta) -> np.ndarray:
@@ -288,10 +284,11 @@ def _apply_even_mixer(u: np.ndarray, beta) -> np.ndarray:
     return np.subtract(out, flipped, out=flipped)
 
 
-def _embed(u: np.ndarray) -> np.ndarray:
-    """Computational-basis rows [u; reversed(u)]/sqrt(2) of even-sector
-    coefficients (a vector, or a matrix of column vectors)."""
-    return np.concatenate((u, u[::-1])) * np.sqrt(0.5)
+def _embed(u: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Computational-basis amplitudes [u, reversed(u)]/sqrt(2) of even-sector
+    coefficients along `axis`: the last for a state or a stack of state
+    rows, 0 for a matrix of column vectors."""
+    return np.concatenate((u, np.flip(u, axis)), axis) * np.sqrt(0.5)
 
 
 def _levels(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +301,6 @@ __all__ = [
     "CostKind",
     "CircuitSimulator",
     "plus_state",
-    "probabilities",
     "apply_mixer",
     "mixer_eigenvalues",
     "hadamard_matrix",

@@ -21,7 +21,7 @@ from .metrics import (
     total_variation_distance,
 )
 from .powell import PowellOptions
-from .variational import optimize_qaoa
+from .variational import SCHEMES, optimize_qaoa
 
 DEFAULT_DEPTHS = (1, 2, 3, 5, 7, 10, 15, 22, 32, 46, 68, 100)
 DEFAULT_TEMPERATURES = (0.5, 1.0, 2.0)
@@ -38,7 +38,7 @@ CSV_BASE_COLUMNS = (
 class SweepConfig:
     instance: IsingInstance
     methods: tuple[str, ...] = METHODS
-    schemes: tuple[str, ...] = ("full", "linearized")
+    schemes: tuple[str, ...] = SCHEMES
     depths: tuple[int, ...] = DEFAULT_DEPTHS
     temperatures: tuple[float, ...] = DEFAULT_TEMPERATURES
     optimizer: PowellOptions = field(default_factory=PowellOptions)
@@ -50,7 +50,7 @@ class SweepConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         for s in self.schemes:
-            if s not in ("full", "linearized"):
+            if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
         if not all(p >= 1 for p in self.depths):
             raise ValueError("depths must be >= 1")
@@ -239,42 +239,10 @@ def record_to_dict(record: SweepRecord) -> dict:
     return d
 
 
-def record_from_dict(d: dict) -> SweepRecord:
-    orbit = []
-    i = 1
-    while f"p_orbit{i}" in d:
-        orbit.append(float(d[f"p_orbit{i}"]))
-        i += 1
-    tvd_by_t = tuple(
-        (float(k[len("tvd_T"):]), float(v))
-        for k, v in d.items() if k.startswith("tvd_T")
-    )
-    return SweepRecord(
-        method=d["method"],
-        scheme=d["scheme"],
-        p=int(d["p"]),
-        temperature=None if d["T"] is None else float(d["T"]),
-        objective=float(d["objective"]),
-        p_gs=float(d["p_gs"]),
-        orbit_probs=tuple(orbit),
-        fairness_gap=float(d["fairness_gap"]),
-        tvd=None if d["tvd"] is None else float(d["tvd"]),
-        tvd_by_temperature=tvd_by_t,
-        n_evaluations=int(d["n_eval"]),
-        converged=bool(d["converged"]),
-        wall_time_s=float(d["wall_time_s"]),
-    )
-
-
 def emit_json(records: list[SweepRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([record_to_dict(r) for r in records], fh, indent=1)
         fh.write("\n")
-
-
-def load_json(path) -> list[SweepRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [record_from_dict(d) for d in json.load(fh)]
 
 
 # --- figure data -------------------------------------------------------------

@@ -74,7 +74,7 @@ class QaoaProblem:
 
     def starts(self) -> np.ndarray:
         """The deterministic starting points of optimize_qaoa, one per row
-        (row i starts the run `QaoaOutcome.starts[i]`).
+        (row i starts the run `QaoaOutcome.result.starts[i]`).
 
         Linearized scheme: `linearized_init_battery`. Full scheme: the 2p
         angles of the ramp images (kappa dt, 0, -dt, dt) of the annealing
@@ -132,16 +132,6 @@ class QaoaOutcome:
     result: OptResult  # the winning start's run; result.starts holds every start's
     schedule: tuple[np.ndarray, np.ndarray]  # the winner's (gammas, betas)
     distribution: np.ndarray
-
-    @property
-    def starts(self) -> list[OptResult]:
-        """Every start's run (final value, evaluations, stop), in start order."""
-        return self.result.starts
-
-    @property
-    def winner(self) -> int:
-        """Index of the winning start in `starts`."""
-        return self.result.winner
 
     @property
     def n_starts(self) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 from gibbs_qaoa import cli, harness
 from gibbs_qaoa.harness import SweepConfig
-from gibbs_qaoa.ising import IsingInstance, render_instance, toy_instance
+from gibbs_qaoa.ising import toy_instance
 from gibbs_qaoa.powell import PowellOptions
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -34,7 +34,7 @@ class TestVerifyInstance:
 
     def test_file_instance_report(self, capsys, tmp_path):
         path = tmp_path / "ferro.txt"
-        path.write_text(render_instance(IsingInstance(n=2, couplings={(1, 2): 1.0})))
+        path.write_text("n 2\nj 1 2 1.0\n")
         code, out, _ = run_cli(capsys, "verify-instance", "--instance", str(path))
         assert code == 0
         assert "E0 = -1" in out
@@ -199,12 +199,12 @@ class TestSweep:
         sweep = cli._sweep_config(args)
         assert sweep.optimizer.max_evaluations == 200_000  # the flag's default, still explicit
         assert sweep.depths == (3,)  # from the file
-        assert sweep.point_budget_s == cli.OPTIMIZER_FLAGS["budget_s"][1]
+        assert sweep.point_budget_s is None  # the default: no wall-clock net
 
     def test_run_flags_keep_defaults(self):
         args = cli.build_parser().parse_args(["run", "--toy", "--method", "qaoa", "-p", "1"])
-        for name, (_, default, _) in cli.OPTIMIZER_FLAGS.items():
-            assert getattr(args, name) == default
+        assert cli._optimizer_settings(args) == {"optimizer": PowellOptions(),
+                                                 "point_budget_s": None}
 
     def test_no_instance_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--methods", "qaoa")

@@ -16,7 +16,6 @@ from gibbs_qaoa.evolution import (
     hadamard_matrix,
     mixer_eigenvalues,
     plus_state,
-    probabilities,
 )
 from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
 from gibbs_qaoa.operators import build_sbo, densify
@@ -62,7 +61,7 @@ class TestPlusState:
         assert np.allclose(psi, 32 ** -0.5)
 
     def test_uniform_probabilities(self):
-        assert np.allclose(probabilities(plus_state(5)), 1 / 32)
+        assert np.allclose(np.abs(plus_state(5)) ** 2, 1 / 32)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -78,7 +77,7 @@ class TestMixer:
         psi = plus_state(1)
         out = apply_mixer(psi, 0.9)
         assert np.allclose(out, np.exp(-1j * 0.9) * psi)
-        assert np.allclose(probabilities(out), probabilities(psi))
+        assert np.allclose(np.abs(out) ** 2, np.abs(psi) ** 2)
 
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(1)
@@ -189,6 +188,25 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="lengths differ"):
             getattr(sim, entry)([0.1, 0.2, 0.3], [0.4])
 
+    @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(1.0)])
+    @pytest.mark.parametrize("inst", [
+        toy_instance(),  # no fields: the even sector, dense mixer step
+        IsingInstance(n=4, couplings={(1, 2): 1.0, (2, 3): -1.0, (3, 4): 1.0},
+                      fields=(0.5, 0.0, -0.3, 0.2)),
+        # no fields, 2^8 carried amplitudes: the block mixer step
+        IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)}),
+    ], ids=["toy", "fields", "chain9"])
+    def test_batch_rows_equal_single_runs(self, inst, kind):
+        rng = np.random.default_rng(9)
+        gammas, betas = rng.uniform(-1, 1, (2, 4, 3))  # p = 4, K = 3
+        sim = CircuitSimulator(inst, kind)
+        states = sim.run_angles(gammas, betas)
+        probs = sim.probabilities((gammas, betas))
+        assert states.shape == probs.shape == (3, inst.dim)
+        for k in range(3):
+            assert np.array_equal(states[k], sim.run_angles(gammas[:, k], betas[:, k]))
+            assert np.array_equal(probs[k], sim.probabilities((gammas[:, k], betas[:, k])))
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
         sched = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
@@ -198,7 +216,7 @@ class TestRunCircuit:
     def test_one_hot_distribution(self):
         psi = np.zeros(8, dtype=complex)
         psi[5] = 1.0
-        probs = probabilities(psi)
+        probs = np.abs(psi) ** 2
         assert probs[5] == 1.0 and probs.sum() == 1.0
 
 
@@ -227,7 +245,7 @@ class TestSboPhase:
         for n in (1, FUSED_MAX_SPINS + 2):
             sim = CircuitSimulator(IsingInstance(n=n), CostKind.sbo(1.0))
             psi = sim.run_angles([0.0, 1.234], [0.0, 0.7])
-            assert np.abs(probabilities(psi) - 2.0 ** -n).max() <= 1e-12
+            assert np.abs(np.abs(psi) ** 2 - 2.0 ** -n).max() <= 1e-12
 
 
 class TestCostKind:
@@ -348,4 +366,4 @@ def test_even_sector_three_blocks_matches_full_space():
     sim = CircuitSimulator(inst, CostKind.classical())
     assert sim.sector and n - 1 > FUSED_MAX_SPINS
     assert np.abs(sim.run_angles(gammas, betas) - psi).max() <= 1e-10
-    assert abs(sim.objective_angles(gammas, betas) - float(energies @ probabilities(psi))) <= 1e-10
+    assert abs(sim.objective_angles(gammas, betas) - float(energies @ np.abs(psi) ** 2)) <= 1e-10

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -12,7 +13,7 @@ from gibbs_qaoa.harness import (
     emit_fig_data,
     emit_json,
     grid_points,
-    load_json,
+    record_to_dict,
     run_point,
     run_sweep,
 )
@@ -184,7 +185,7 @@ class TestSerialization:
     def test_json_round_trip(self, small_table, tmp_path):
         path = tmp_path / "out.json"
         emit_json(small_table, path)
-        assert load_json(path) == small_table
+        assert json.loads(path.read_text()) == [record_to_dict(r) for r in small_table]
 
     def test_determinism_modulo_wall_time(self, tmp_path):
         cfg = fast_config(methods=("sbo",), schemes=("full",), depths=(1,),

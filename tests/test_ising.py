@@ -18,7 +18,6 @@ from gibbs_qaoa.ising import (
     index_to_ket,
     ket_to_index,
     parse_instance,
-    render_instance,
     spins_of,
     toy_ground_states,
     toy_instance,
@@ -200,8 +199,23 @@ def test_flip_symmetry_of_energies(inst):
 
 @settings(max_examples=40, deadline=None)
 @given(instances())
+def test_ground_set_is_the_exact_minimum(inst):
+    e = energy_table(inst)
+    assert ground_set(inst).states == tuple(np.nonzero(e == e.min())[0].tolist())
+
+
+def instance_text(inst):
+    """The instance file for `inst`: n, the j lines, the nonzero h lines."""
+    lines = [f"n {inst.n}"]
+    lines += [f"j {i} {j} {v!r}" for (i, j), v in inst.couplings.items()]
+    lines += [f"h {i} {h!r}" for i, h in enumerate(inst.fields, start=1) if h != 0]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
 def test_parse_render_round_trip(inst):
-    assert parse_instance(render_instance(inst)) == inst
+    assert parse_instance(instance_text(inst)) == inst
 
 
 class TestParseErrors:
@@ -210,7 +224,18 @@ class TestParseErrors:
         assert inst == IsingInstance(n=2, couplings={(1, 2): 1.0})
 
     def test_toy_round_trip(self):
-        assert parse_instance(render_instance(toy_instance())) == toy_instance()
+        text = """# the built-in 5-spin benchmark
+n 5
+j 1 2 1
+j 1 3 1
+j 2 3 1
+j 3 4 1
+j 3 5 1
+j 4 5 1
+j 1 5 -1
+j 2 4 -1
+"""
+        assert parse_instance(text) == toy_instance()
 
     @pytest.mark.parametrize(
         "text,lineno,what",

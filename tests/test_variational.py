@@ -217,16 +217,16 @@ class TestOptimizeQaoa:
         else:
             starts = linearized_init_battery(kind, alpha_value=alpha(inst))
         assert out.n_starts == len(starts)
-        for x0, got in zip(starts, out.starts):
+        for x0, got in zip(starts, out.result.starts):
             want = powell_minimize(problem.objective, x0, opts)
             assert np.array_equal(got.best_params, want.best_params)
             assert got.best_value == want.best_value
             assert got.n_evaluations == want.n_evaluations
             assert got.trace == want.trace and got.stop == want.stop
-        assert out.result.best_value == min(r.best_value for r in out.starts)
-        assert out.result.best_value == out.starts[out.winner].best_value
-        assert out.result.n_evaluations == out.starts[out.winner].n_evaluations
-        assert out.total_evaluations == sum(r.n_evaluations for r in out.starts)
+        assert out.result.best_value == min(r.best_value for r in out.result.starts)
+        assert out.result.best_value == out.result.starts[out.result.winner].best_value
+        assert out.result.n_evaluations == out.result.starts[out.result.winner].n_evaluations
+        assert out.total_evaluations == sum(r.n_evaluations for r in out.result.starts)
 
     def test_time_budget_truncates_battery(self):
         # The starts run in lockstep, so one deadline cuts every start of the
@@ -234,6 +234,6 @@ class TestOptimizeQaoa:
         args = (toy_instance(), CostKind.sbo(1.0), "linearized", 2)
         out = optimize_qaoa(*args, time_budget=0.01)
         assert out.n_starts == 24
-        assert [r.stop for r in out.starts] == ["time_budget"] * 24
+        assert [r.stop for r in out.result.starts] == ["time_budget"] * 24
         assert out.total_evaluations < optimize_qaoa(*args).total_evaluations
         assert np.isfinite(out.result.best_value)
