@@ -30,7 +30,7 @@ from .operators import (
     apply_operator,
     build_sbo,
     densify,
-    local_diagonal,
+    local_terms,
 )
 from .powell import ObjectiveError, OptResult, PowellOptions, powell_minimize
 from .variational import QaoaProblem, optimize_qaoa

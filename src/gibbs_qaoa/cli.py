@@ -142,11 +142,7 @@ def cmd_run(args) -> int:
         workers=1,
         **_optimizer_settings(args),
     )
-    point = harness.PointSpec(
-        args.method, args.scheme, args.depth,
-        args.temperature if args.method == "sbo" else None,
-    )
-    record = harness.run_point(cfg, point)
+    record = harness.run_point(cfg, harness.grid_points(cfg)[0])
     for key, value in harness.record_to_dict(record).items():
         print(f"{key} = {value}")
     if args.json:

@@ -40,27 +40,23 @@ _BLOCK_SPINS = 5
 
 @dataclass(frozen=True)
 class CostKind:
-    """Which operator the phase layers (and the objective) use."""
+    """Which operator the phase layers (and the objective) use: the
+    Gibbs-encoding operator H_S(T) at `temperature`, or the classical Ising
+    diagonal when it is None."""
 
-    method: str  # "classical" or "sbo"
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("classical", "sbo"):
-            raise ValueError(f"unknown cost kind {self.method!r}")
-        if self.method == "sbo":
-            if self.temperature is None or not self.temperature > 0:
-                raise ValueError("sbo cost requires a positive temperature")
-        elif self.temperature is not None:
-            raise ValueError("classical cost takes no temperature")
+        if self.temperature is not None and not self.temperature > 0:
+            raise ValueError("sbo cost requires a positive temperature")
 
     @classmethod
     def classical(cls) -> "CostKind":
-        return cls(method="classical")
+        return cls()
 
     @classmethod
     def sbo(cls, temperature: float) -> "CostKind":
-        return cls(method="sbo", temperature=float(temperature))
+        return cls(float(temperature))
 
 
 def plus_state(n: int) -> np.ndarray:
@@ -159,36 +155,33 @@ class CircuitSimulator:
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):
-        self.inst = inst
-        self.kind = kind
-        self.n = inst.n
-        self.dim = inst.dim
+        n, dim = inst.n, inst.dim
         self.sector = inst.flip_symmetric
-        width = self.dim >> self.sector  # length of the carried vector
-        if kind.method == "classical":
+        width = dim >> self.sector  # length of the carried vector
+        if kind.temperature is None:
             self.cost_eigs = energy_table(inst)[:width]
             self._eig = None
             self._from_cost = self._to_cost = np.asarray  # V is the identity
         else:
-            self.sbo = build_sbo(inst, kind.temperature)
-            self._eig = sbo_eigendecomposition(self.sbo, even=self.sector)
+            sbo = build_sbo(inst, kind.temperature)
+            self._eig = sbo_eigendecomposition(sbo, even=self.sector)
             self.cost_eigs = self._eig.eigenvalues
             self._from_cost = partial(_real_matmul, self._eig.eigenvectors)
             self._to_cost = partial(_real_matmul, self._eig.eigenvectors.T)
         self._mixer = _apply_even_mixer if self.sector else apply_mixer
         self._fused = width <= 1 << FUSED_MAX_SPINS
         # |+>^n, carried (in the sector u = sqrt(2) psi[:width])
-        self._c0 = self._to_cost(plus_state(self.n)[:width] * np.sqrt(self.dim / width))
+        self._c0 = self._to_cost(plus_state(n)[:width] * np.sqrt(dim / width))
         self._c0.flags.writeable = False  # returned as is by a zero-layer run
         # Each phase is exp(-i angle level), gathered from the distinct
         # eigenvalues (n + 1 of them for the mixer).
         self._cost_levels, self._cost_index = _levels(self.cost_eigs)
         if self._fused:
-            w = hadamard_matrix(self.n)
-            mixer_eigs = mixer_eigenvalues(self.n)
+            w = hadamard_matrix(n)
+            mixer_eigs = mixer_eigenvalues(n)
             if self.sector:
                 # W e_x is sqrt(2) W[k, x] on rows k of even parity, 0 on odd.
-                even = np.bitwise_count(np.arange(self.dim)) % 2 == 0
+                even = np.bitwise_count(np.arange(dim)) % 2 == 0
                 w = np.sqrt(2.0) * w[even, :width]
                 mixer_eigs = mixer_eigs[even]
             to_had = w if self._eig is None else w @ self._eig.eigenvectors
@@ -257,11 +250,8 @@ class CircuitSimulator:
         Angles of shape (p, K) give an array of the K schedules' values.
         """
         c = self._run(gammas, betas)
-        probs = (c * c.conj()).real
-        if probs.ndim == 1:
-            return float(np.dot(self.cost_eigs, probs))
-        # one dot per row: a matrix-vector product would round differently
-        return np.array([np.dot(self.cost_eigs, row) for row in probs])
+        # a dot product per row: a matrix-vector product would round differently
+        return np.vecdot((c * c.conj()).real, self.cost_eigs)
 
     def probabilities(self, schedule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Measurement distribution of the final state of (gammas, betas)."""

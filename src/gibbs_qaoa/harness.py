@@ -111,10 +111,8 @@ def grid_points(cfg: SweepConfig) -> list[PointSpec]:
 def run_point(cfg: SweepConfig, point: PointSpec) -> SweepRecord:
     """Optimize one grid point and evaluate every metric on its output."""
     t0 = time.perf_counter()
-    kind = (CostKind.classical() if point.method == "qaoa"
-            else CostKind.sbo(point.temperature))
     outcome = optimize_qaoa(
-        cfg.instance, kind, point.scheme, point.p,
+        cfg.instance, CostKind(point.temperature), point.scheme, point.p,
         options=cfg.optimizer, time_budget=cfg.point_budget_s,
     )
     gs = ground_set(cfg.instance)
@@ -203,14 +201,14 @@ def _fmt(value) -> str:
 
 
 def emit_csv(records: list[SweepRecord], path) -> None:
-    """One row per record: the `record_to_dict` values under CSV_BASE_COLUMNS
-    plus one distance column per temperature of the classical rows; a value
+    """One row per record: the `record_to_dict` values under CSV_BASE_COLUMNS,
+    then every other key of the records (orbits past the third, the
+    classical rows' distance per temperature) in first-seen order; a value
     a record lacks is a blank cell."""
-    temps = sorted({t for r in records for (t, _) in r.tvd_by_temperature})
-    columns = list(CSV_BASE_COLUMNS) + [f"tvd_T{t!r}" for t in temps]
+    rows = [record_to_dict(r) for r in records]
+    columns = list(dict.fromkeys([*CSV_BASE_COLUMNS, *(k for d in rows for k in d)]))
     lines = [",".join(columns)]
-    for r in records:
-        d = record_to_dict(r)
+    for d in rows:
         lines.append(",".join(_fmt(d.get(c)) for c in columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

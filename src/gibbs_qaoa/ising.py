@@ -162,16 +162,20 @@ class GroundSet:
         return len(self.states)
 
 
+# Relative to the energy scale max(1, max |E|): rounding in the energy
+# table grows with the couplings.
 DEGENERACY_TOL = 1e-9
 
 
 def ground_set(inst: IsingInstance) -> GroundSet:
     """Exhaustively enumerate all configurations and collect the minima:
-    every state within DEGENERACY_TOL of the lowest energy (on integer-valued
-    instances, exactly the lowest, since distinct energies differ by >= 1)."""
+    every state within DEGENERACY_TOL * max(1, max |E|) of the lowest
+    energy (on integer-valued instances with max |E| < 1e9, exactly the
+    lowest, since distinct energies differ by >= 1)."""
     e = energy_table(inst)
     e0 = float(e.min())
-    states = tuple(int(i) for i in np.nonzero(e <= e0 + DEGENERACY_TOL)[0])
+    tol = DEGENERACY_TOL * max(1.0, float(np.abs(e).max()))
+    states = tuple(int(i) for i in np.nonzero(e <= e0 + tol)[0])
     orbits = None
     if inst.flip_symmetric:
         orbits = _flip_orbits(states, inst.n)

@@ -1,6 +1,6 @@
-"""Cost operators: the single-spin local terms of the Ising energy and the
-structured Gibbs-encoding cost operator (scaled diagonal plus a constant
-coupling on every single-flip pair).
+"""Cost operators: the single-spin local energy table of the Ising energy
+and the structured Gibbs-encoding cost operator (scaled diagonal plus a
+constant coupling on every single-flip pair).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class SboOperator:
 
     n: int
     temperature: float
-    alpha: float
     diag: np.ndarray
     offdiag: float
 
@@ -36,20 +35,20 @@ class SboOperator:
         return 1 << self.n
 
 
-def local_diagonal(inst: IsingInstance, i: int) -> np.ndarray:
-    """Diagonal of the terms involving spin i:
-    -s_i (sum_j J_ij s_j + h_i)."""
-    if not (1 <= i <= inst.n):
-        raise ValueError(f"spin index {i} out of range for n={inst.n}")
+def local_terms(inst: IsingInstance) -> np.ndarray:
+    """Diagonals of the single-spin local terms, one row per spin: row
+    i - 1 is -s_i (sum_j J_ij s_j + h_i). Each row takes its bonds in the
+    instance's (sorted) coupling order, then its field."""
     s = spin_table(inst.n)
-    acc = np.zeros(inst.dim)
+    terms = np.zeros((inst.n, inst.dim))
     for (a, b), v in inst.couplings.items():
-        if i in (a, b):
-            acc -= v * s[:, a - 1] * s[:, b - 1]
-    h = inst.fields[i - 1]
-    if h != 0:
-        acc -= h * s[:, i - 1]
-    return acc
+        bond = v * s[:, a - 1] * s[:, b - 1]
+        terms[a - 1] -= bond
+        terms[b - 1] -= bond
+    for i, h in enumerate(inst.fields):
+        if h != 0:
+            terms[i] -= h * s[:, i]
+    return terms
 
 
 def alpha(inst: IsingInstance) -> float:
@@ -58,28 +57,24 @@ def alpha(inst: IsingInstance) -> float:
     The local terms are diagonal, so this is a max over spins and basis
     states.
     """
-    return max(
-        float(np.abs(local_diagonal(inst, i)).max()) for i in range(1, inst.n + 1)
-    )
+    return float(np.abs(local_terms(inst)).max())
 
 
 def build_sbo(inst: IsingInstance, temperature: float) -> SboOperator:
     """Assemble the Gibbs-encoding cost operator at the given temperature.
 
-    diag(sigma) = sum_i exp((H_i(sigma) - alpha)/T); every single-flip pair
-    carries -exp(-alpha/T). All exponents are <= 0 by construction.
+    diag(sigma) = sum_i exp((H_i(sigma) - alpha)/T), summed in spin order;
+    every single-flip pair carries -exp(-alpha/T). All exponents are <= 0
+    by construction.
     """
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    a = alpha(inst)
-    diag = np.zeros(inst.dim)
-    for i in range(1, inst.n + 1):
-        diag += np.exp((local_diagonal(inst, i) - a) / temperature)
+    terms = local_terms(inst)
+    a = float(np.abs(terms).max())  # alpha(inst), from the same table
     return SboOperator(
         n=inst.n,
         temperature=float(temperature),
-        alpha=a,
-        diag=diag,
+        diag=sum(np.exp((terms - a) / temperature)),
         offdiag=float(-np.exp(-a / temperature)),
     )
 

@@ -20,7 +20,7 @@ SCHEMES = ("full", "linearized")
 
 DEFAULT_DT = 1.0
 
-# Cap on the gamma-scale factor of the starting points (see init_scale).
+# Cap on the gamma-scale factor of the starting points (see QaoaProblem.starts).
 MAX_INIT_SCALE = 4096.0
 
 
@@ -76,53 +76,30 @@ class QaoaProblem:
         """The deterministic starting points of optimize_qaoa, one per row
         (row i starts the run `QaoaOutcome.result.starts[i]`).
 
-        Linearized scheme: `linearized_init_battery`. Full scheme: the 2p
-        angles of the ramp images (kappa dt, 0, -dt, dt) of the annealing
-        schedule, first with the sbo cost-angle scale kappa = init_scale
-        (when it is not 1), then the plain ramp, kappa = 1.
+        Each start is the ramp image (kappa dt, 0, -mu dt, mu dt) of the
+        annealing schedule, with its cost angles scaled by kappa. H_S(T)
+        couples single flips with strength exp(-alpha/T), so useful cost
+        angles are about exp(alpha/T) times the ramp's: kappa runs up to
+        kappa_max = min(exp(alpha/T), MAX_INIT_SCALE), which is 1 for the
+        classical cost.
+
+        Linearized scheme: the geometric ladder kappa = 1, 2, 4, ... up to
+        kappa_max, at mu = 1 and 1/4, each in both mixer-sign conventions;
+        the plain annealing image comes first. Full scheme: the 2p angles of
+        the images at kappa_max (when it is not 1), then at kappa = 1.
         """
-        a = alpha(self.inst) if self.kind.method == "sbo" else 0.0
-        if self.scheme == "linearized":
-            return linearized_init_battery(self.kind, a)
-        scale = init_scale(self.kind, a)
-        kappas = (1.0,) if scale == 1.0 else (scale, 1.0)
-        gammas, betas = self._ramp(
-            np.array([(kappa * DEFAULT_DT, 0.0, -DEFAULT_DT, DEFAULT_DT) for kappa in kappas]))
-        return np.concatenate((gammas, betas)).T
-
-
-def init_scale(kind: CostKind, alpha_value: float) -> float:
-    """Cost-angle scale that offsets the exp(-alpha/T) suppression of H_S(T).
-
-    The Gibbs-encoding operator couples single flips with strength
-    exp(-alpha/T), so useful cost angles are about exp(alpha/T) times the
-    annealing ramp's. Capped at MAX_INIT_SCALE; 1 for the classical cost.
-    """
-    if kind.method == "sbo" and alpha_value > 0.0:
-        return min(float(np.exp(alpha_value / kind.temperature)), MAX_INIT_SCALE)
-    return 1.0
-
-
-def linearized_init_battery(kind: CostKind, alpha_value: float = 0.0) -> np.ndarray:
-    """Deterministic starting points for linearized runs, one per row:
-    (gamma slope, gamma intercept, beta slope, beta intercept).
-
-    The ramp image of the annealing schedule, at a geometric ladder of
-    cost-angle scales and two mixer-angle scales, in both mixer-sign
-    conventions. The ladder compensates the exp(-alpha/T) suppression of
-    the Gibbs-encoding cost operator; for the classical cost a single scale
-    suffices. The plain annealing image comes first.
-    """
-    scale_cap = init_scale(kind, alpha_value)
-    kappas = [1.0]
-    while kappas[-1] * 2.0 <= scale_cap:
-        kappas.append(kappas[-1] * 2.0)
-    inits = []
-    for kappa in kappas:
-        for mu in (1.0, 0.25):
-            inits.append((kappa * DEFAULT_DT, 0.0, -mu * DEFAULT_DT, mu * DEFAULT_DT))
-            inits.append((kappa * DEFAULT_DT, 0.0, mu * DEFAULT_DT, -mu * DEFAULT_DT))
-    return np.array(inits)
+        a = 0.0 if self.kind.temperature is None else alpha(self.inst)
+        cap = min(float(np.exp(a / self.kind.temperature)), MAX_INIT_SCALE) if a > 0.0 else 1.0
+        if self.scheme == "full":
+            kappas = (1.0,) if cap == 1.0 else (cap, 1.0)
+            gammas, betas = self._ramp(
+                np.array([(kappa * DEFAULT_DT, 0.0, -DEFAULT_DT, DEFAULT_DT) for kappa in kappas]))
+            return np.concatenate((gammas, betas)).T
+        kappas = [1.0]
+        while kappas[-1] * 2.0 <= cap:
+            kappas.append(kappas[-1] * 2.0)
+        return np.array([(kappa * DEFAULT_DT, 0.0, b * DEFAULT_DT, -b * DEFAULT_DT)
+                         for kappa in kappas for mu in (1.0, 0.25) for b in (-mu, mu)])
 
 
 @dataclass
@@ -130,7 +107,6 @@ class QaoaOutcome:
     """Winning optimization run plus the measurement distribution it yields."""
 
     result: OptResult  # the winning start's run; result.starts holds every start's
-    schedule: tuple[np.ndarray, np.ndarray]  # the winner's (gammas, betas)
     distribution: np.ndarray
 
     @property
@@ -155,7 +131,7 @@ def optimize_qaoa(
     Every run keeps the best final objective over its starts
     (`QaoaProblem.starts`). Full-scheme runs start from the annealing ramp;
     for the sbo cost they first try the ramp with its cost angles scaled by
-    init_scale, which is what reaches the Gibbs target at depth (the plain
+    kappa_max, which is what reaches the Gibbs target at depth (the plain
     ramp can do better at shallow depth). Linearized runs try the
     deterministic battery of ramp images; the 4-dimensional landscape is
     riddled with poor local minima that the plain ramp image alone falls
@@ -168,6 +144,5 @@ def optimize_qaoa(
     """
     problem = QaoaProblem(inst, kind, scheme, p)
     result = powell_minimize(problem.objective, problem.starts(), options, time_budget)
-    schedule = problem.schedule(result.best_params)
-    distribution = problem.simulator.probabilities(schedule)
-    return QaoaOutcome(result=result, schedule=schedule, distribution=distribution)
+    distribution = problem.simulator.probabilities(problem.schedule(result.best_params))
+    return QaoaOutcome(result=result, distribution=distribution)

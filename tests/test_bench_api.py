@@ -38,7 +38,7 @@ def test_problem_and_simulator(kind):
     assert abs(float(dist.sum()) - 1.0) <= 1e-12
     assert np.allclose(dist, np.abs(psi) ** 2, atol=1e-14)
     eig = problem.simulator.eig
-    if kind.method == "classical":
+    if kind.temperature is None:
         assert eig is None
     else:
         lowest = eig.eigenvalues <= eig.eigenvalues[0] + 1e-10

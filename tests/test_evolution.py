@@ -172,7 +172,7 @@ class TestRunCircuit:
         once = sim.run_angles(g, b)
         first = sim.run_angles(g[:3], b[:3])
         # continue from `first` by applying the remaining layers manually
-        if kind.method == "classical":
+        if kind.temperature is None:
             lam, v = energy_table(toy_instance()), np.eye(32)
         else:
             lam, v = sim.eig.eigenvalues, sim.eig.eigenvectors
@@ -251,19 +251,11 @@ class TestSboPhase:
 class TestCostKind:
     def test_sbo_requires_temperature(self):
         with pytest.raises(ValueError):
-            CostKind(method="sbo")
+            CostKind(0.0)
         with pytest.raises(ValueError):
             CostKind.sbo(-1.0)
         with pytest.raises(ValueError):
             CostKind.sbo(float("nan"))
-
-    def test_classical_takes_no_temperature(self):
-        with pytest.raises(ValueError):
-            CostKind(method="classical", temperature=1.0)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            CostKind(method="other")
 
 
 @lru_cache(maxsize=None)

@@ -182,6 +182,20 @@ class TestSerialization:
         assert cells["fairness_gap"] == "0"
         assert float(cells["p_gs"]) == pytest.approx(record.p_gs, rel=1e-11)
 
+    def test_csv_keeps_orbits_past_the_third(self, tmp_path):
+        # no couplings: all 8 states are ground states, in 4 flip orbits
+        cfg = fast_config(instance=IsingInstance(n=3), methods=("qaoa",), schemes=("full",),
+                          depths=(1,), point_budget_s=None)
+        record = run_point(cfg, PointSpec("qaoa", "full", 1, None))
+        assert len(record.orbit_probs) == 4
+        path = tmp_path / "out.csv"
+        emit_csv([record], path)
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        assert header[:14] == list(harness.CSV_BASE_COLUMNS)
+        assert set(header) == set(harness.CSV_BASE_COLUMNS) | set(record_to_dict(record))
+        cells = dict(zip(header, row, strict=True))
+        assert float(cells["p_orbit4"]) == pytest.approx(record.orbit_probs[3], rel=1e-11)
+
     def test_json_round_trip(self, small_table, tmp_path):
         path = tmp_path / "out.json"
         emit_json(small_table, path)

@@ -204,6 +204,21 @@ def test_ground_set_is_the_exact_minimum(inst):
     assert ground_set(inst).states == tuple(np.nonzero(e == e.min())[0].tolist())
 
 
+def test_ground_set_is_closed_under_a_spin_swap_at_every_scale():
+    # J13 = J23 and h1 = h2 make swapping spins 1 and 2 a symmetry. Swapped
+    # states sum the same terms in a different order, so their energies may
+    # differ by rounding that grows with the scale of the instance.
+    swap = [(i & 0b100) | (i & 1) << 1 | (i >> 1) & 1 for i in range(8)]
+    rng = np.random.default_rng(0)
+    for scale in 10.0 ** np.arange(10):
+        for _ in range(200):
+            j12, j13, h1, h3 = scale * rng.uniform(-1.0, 1.0, 4)
+            inst = IsingInstance(n=3, couplings={(1, 2): j12, (1, 3): j13, (2, 3): j13},
+                                 fields=(h1, h1, h3))
+            states = set(ground_set(inst).states)
+            assert {swap[s] for s in states} == states, (scale, inst)
+
+
 def instance_text(inst):
     """The instance file for `inst`: n, the j lines, the nonzero h lines."""
     lines = [f"n {inst.n}"]

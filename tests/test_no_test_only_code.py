@@ -1,10 +1,12 @@
 """Every public top-level function and class of the package has a caller
-outside the tests.
+outside the tests, and every dataclass field of the package is read there.
 
 A name counts as used when code refers to it (a name, an attribute, or a
 string such as a getattr target) somewhere in src/gibbs_qaoa other than its
 own definition and __init__.py, or in the benchmark (bench/*.py) or the
-scripts (scripts/*.py). Code that only tests reach is deleted, not kept.
+scripts (scripts/*.py). A field counts as read when an attribute of its
+name is loaded somewhere in that code. Code that only tests reach is
+deleted, not kept.
 """
 
 import ast
@@ -16,6 +18,12 @@ PACKAGE = ROOT / "src" / "gibbs_qaoa"
 # Public names kept without a non-test caller, each with its reason.
 ALLOWED = {
     "ising.classical_energy": "the one-state reference that tests compare energy_table against",
+}
+
+# Dataclass fields kept without a non-test reader, each with its reason.
+ALLOWED_FIELDS = {
+    "powell.OptResult.stop": "why a start ended; the sweep records are to carry it",
+    "powell.OptResult.winner": "which start won; the sweep records are to carry it",
 }
 
 
@@ -57,3 +65,17 @@ def test_public_definitions_have_callers_outside_tests():
         if key not in ALLOWED and node.name not in callers:
             unused.append(key)
     assert not unused, f"reached only from tests, or not at all: {unused}"
+
+
+def test_dataclass_fields_are_read_outside_tests():
+    code = [*PACKAGE.glob("*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("scripts/*.py")]
+    read = {node.attr for path in code for node in ast.walk(parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {f"{path.stem}.{cls.name}.{stmt.target.id}": stmt.target.id
+              for path in sorted(PACKAGE.glob("*.py")) for cls in parse(path).body
+              if isinstance(cls, ast.ClassDef)
+              and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    unread = sorted(key for key, name in fields.items() if name not in read)
+    assert unread == sorted(ALLOWED_FIELDS), f"fields no code outside the tests reads: {unread}"

@@ -11,7 +11,7 @@ from gibbs_qaoa.operators import (
     build_sbo,
     densify,
     densify_even,
-    local_diagonal,
+    local_terms,
 )
 
 ALL_UP = 0b11111
@@ -29,24 +29,36 @@ def random_instance(rng, n):
 class TestLocalDiagonal:
     def test_toy_center_spin_all_up(self):
         # spin 3 touches four ferromagnetic bonds
-        assert local_diagonal(toy_instance(), 3)[ALL_UP] == -4.0
+        assert local_terms(toy_instance())[2][ALL_UP] == -4.0
 
     def test_toy_spin_one_all_up(self):
         # neighbors 2, 3 ferro and 5 antiferro: -(1 + 1 - 1)
-        assert local_diagonal(toy_instance(), 1)[ALL_UP] == -1.0
+        assert local_terms(toy_instance())[0][ALL_UP] == -1.0
 
     def test_single_spin_no_field(self):
-        assert np.array_equal(local_diagonal(IsingInstance(n=1), 1), [0.0, 0.0])
+        assert np.array_equal(local_terms(IsingInstance(n=1))[0], [0.0, 0.0])
 
     def test_sum_rule(self):
         # summing H_i double counts every bond and counts each field once
         inst = toy_instance()
-        total = sum(local_diagonal(inst, i) for i in range(1, 6))
+        total = local_terms(inst).sum(axis=0)
         assert np.allclose(total, 2.0 * energy_table(inst))
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            local_diagonal(toy_instance(), 6)
+    def test_rows_are_per_spin_sums_in_coupling_order(self):
+        # bit for bit on non-integer values: bonds in sorted order, then the field
+        rng = np.random.default_rng(3)
+        n = 6
+        couplings = {pair: float(rng.normal()) for pair in itertools.combinations(range(1, n + 1), 2)
+                     if rng.random() < 0.7}
+        inst = IsingInstance(n=n, couplings=couplings, fields=tuple(rng.normal(size=n)))
+        s = np.array([[1.0 if x >> b & 1 else -1.0 for b in range(n)] for x in range(inst.dim)])
+        for i, row in enumerate(local_terms(inst)):
+            want = np.zeros(inst.dim)
+            for (a, b), v in sorted(couplings.items()):
+                if i + 1 in (a, b):
+                    want -= v * s[:, a - 1] * s[:, b - 1]
+            want -= inst.fields[i] * s[:, i]
+            assert np.array_equal(row, want)
 
 
 class TestAlpha:
@@ -127,7 +139,7 @@ class TestBuildSbo:
         t = 1.3
         a = alpha(inst)
         i = 2
-        loc = local_diagonal(inst, i)
+        loc = local_terms(inst)[i - 1]
         dim = inst.dim
         term = np.diag(np.exp((loc - a) / t))
         idx = np.arange(dim)

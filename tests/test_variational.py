@@ -9,18 +9,23 @@ from gibbs_qaoa.evolution import CostKind
 from gibbs_qaoa.ising import IsingInstance, toy_instance
 from gibbs_qaoa.operators import alpha
 from gibbs_qaoa.powell import PowellOptions, powell_minimize
-from gibbs_qaoa.variational import (
-    QaoaProblem,
-    init_scale,
-    linearized_init_battery,
-    optimize_qaoa,
-)
+from gibbs_qaoa.variational import QaoaProblem, optimize_qaoa
 
 
 def linearized(params, p):
     """(gammas, betas) of a linearized parameter vector at depth p, as tuples."""
     problem = QaoaProblem(toy_instance(), CostKind.classical(), "linearized", p)
     return tuple(map(tuple, problem.schedule(params)))
+
+
+def battery(kind, inst=None):
+    """The linearized starts of `kind` on `inst` (the toy by default)."""
+    return QaoaProblem(inst or toy_instance(), kind, "linearized", 1).starts()
+
+
+def scale(kind, inst):
+    """The cost-angle scale of the first full-scheme start."""
+    return QaoaProblem(inst, kind, "full", 1).starts()[0][0]
 
 
 def annealing_ramp(p):
@@ -58,7 +63,7 @@ class TestSchedules:
     def test_init_equivalence_exact(self):
         for p in (1, 2, 5, 17, 100):
             # the battery's first start is the annealing ramp's image
-            image = linearized(linearized_init_battery(CostKind.classical())[0], p)
+            image = linearized(battery(CostKind.classical())[0], p)
             direct = annealing_ramp(p)
             assert image[0] == direct[0]
             assert image[1] == direct[1]
@@ -85,12 +90,12 @@ class TestSchedules:
         # bit for bit, and both are ramp images under the linearized map.
         kind = CostKind.sbo(temperature)
         full = QaoaProblem(toy_instance(), kind, "full", p)
-        scale = init_scale(kind, alpha(toy_instance()))
+        kappa = np.exp(alpha(toy_instance()) / temperature)
         ramp = np.concatenate([np.arange(1, p + 1) / p, 1.0 - np.arange(1, p + 1) / p])
-        scaled = np.concatenate([scale * ramp[:p], ramp[p:]])
+        scaled = np.concatenate([kappa * ramp[:p], ramp[p:]])
         assert np.array_equal(full.starts(), [scaled, ramp])
         lin = QaoaProblem(toy_instance(), kind, "linearized", p)
-        for start, image in zip(full.starts(), [(scale, 0.0, -1.0, 1.0), (1.0, 0.0, -1.0, 1.0)]):
+        for start, image in zip(full.starts(), [(kappa, 0.0, -1.0, 1.0), (1.0, 0.0, -1.0, 1.0)]):
             assert np.array_equal(np.concatenate(lin.schedule(image)), start)
 
 
@@ -167,10 +172,9 @@ class TestOptimizeQaoa:
         inst = toy_instance()
         kind = CostKind.classical()
         lin = optimize_qaoa(inst, kind, "linearized", 3)
+        schedule = QaoaProblem(inst, kind, "linearized", 3).schedule(lin.result.best_params)
         problem = QaoaProblem(inst, kind, "full", 3)
-        warm = powell_minimize(
-            problem.objective, np.concatenate(lin.schedule), PowellOptions()
-        )
+        warm = powell_minimize(problem.objective, np.concatenate(schedule), PowellOptions())
         assert warm.best_value <= lin.result.best_value + 1e-9
 
     def test_full_battery_is_single_start(self):
@@ -187,20 +191,20 @@ class TestOptimizeQaoa:
         problem = QaoaProblem(inst, kind, "full", 1)
         plain = powell_minimize(problem.objective, problem.starts()[-1])
         assert out.result.best_value <= plain.best_value
-        assert init_scale(kind, alpha(inst)) == pytest.approx(np.exp(8.0))
+        assert scale(kind, inst) == pytest.approx(np.exp(8.0))
 
     def test_linearized_battery_deterministic(self):
-        battery = linearized_init_battery(CostKind.sbo(1.0), alpha_value=4.0)
-        assert np.array_equal(
-            battery, linearized_init_battery(CostKind.sbo(1.0), alpha_value=4.0))
-        assert np.array_equal(battery[0], [1.0, 0.0, -1.0, 1.0])
-        assert set(battery[:, 0]) == {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}
-        assert battery.shape == (24, 4)
+        # the toy has alpha = 4, so kappa_max = e^4 at T = 1
+        starts = battery(CostKind.sbo(1.0))
+        assert np.array_equal(starts, battery(CostKind.sbo(1.0)))
+        assert np.array_equal(starts[0], [1.0, 0.0, -1.0, 1.0])
+        assert set(starts[:, 0]) == {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}
+        assert starts.shape == (24, 4)
 
     def test_classical_battery_is_small(self):
-        battery = linearized_init_battery(CostKind.classical())
-        assert len(battery) == 4
-        assert all(battery[:, 0] == 1.0)
+        starts = battery(CostKind.classical())
+        assert len(starts) == 4
+        assert all(starts[:, 0] == 1.0)
 
     @pytest.mark.parametrize("scheme", ["full", "linearized"])
     def test_starts_match_standalone_runs(self, scheme):
@@ -212,10 +216,10 @@ class TestOptimizeQaoa:
         problem = QaoaProblem(inst, kind, scheme, p)
         if scheme == "full":
             ramp = problem.starts()[-1]
-            scaled = np.concatenate([init_scale(kind, alpha(inst)) * ramp[:p], ramp[p:]])
+            scaled = np.concatenate([scale(kind, inst) * ramp[:p], ramp[p:]])
             starts = [scaled, ramp]
         else:
-            starts = linearized_init_battery(kind, alpha_value=alpha(inst))
+            starts = battery(kind, inst)
         assert out.n_starts == len(starts)
         for x0, got in zip(starts, out.result.starts):
             want = powell_minimize(problem.objective, x0, opts)
