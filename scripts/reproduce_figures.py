@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
-    sweep = ["sweep", "--toy", "--fig-dir", args.out, "--svg",
+    sweep = ["sweep", "--toy", "--fig-dir", args.out,
              "--out-csv", os.path.join(args.out, "sweep.csv"),
              "--out-json", os.path.join(args.out, "sweep.json")]
     if args.quick:

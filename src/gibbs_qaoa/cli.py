@@ -2,7 +2,8 @@
 
 Subcommands: run (one grid point), sweep (full grid), verify-instance
 (brute-force ground-set report), gibbs (Boltzmann summary at a temperature),
-oracle (kernel/spectrum checks on the Gibbs-encoding operator).
+oracle (kernel/spectrum checks on the Gibbs-encoding operator). An argument
+`@FILE` reads flags from FILE in its place; in FILE, `#` starts a comment.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-check failure.
 """
@@ -46,6 +47,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ParseError(self, message)
 
+    def convert_arg_line_to_args(self, arg_line):
+        return arg_line.split("#", 1)[0].split()
+
 
 def _add_instance_flags(p: _Parser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
@@ -54,13 +58,14 @@ def _add_instance_flags(p: _Parser) -> None:
 
 
 def _resolve_instance(args) -> tuple[IsingInstance, str]:
-    if getattr(args, "toy", False):
+    if args.toy:
         return toy_instance(), "toy"
     return load_instance(args.instance), args.instance
 
 
 def _add_optimizer_flags(p: _Parser) -> None:
-    p.add_argument("--max-evaluations", type=int, help="evaluation cap per start")
+    p.add_argument("--max-evaluations", type=int, default=PowellOptions.max_evaluations,
+                   help="evaluation cap per start")
     p.add_argument("--budget-s", type=float,
                    help="wall-clock safety net per point in seconds "
                         "(default: none; evaluation caps bound each point)")
@@ -68,14 +73,15 @@ def _add_optimizer_flags(p: _Parser) -> None:
 
 def _optimizer_settings(args) -> dict:
     """SweepConfig keywords from the optimizer flags in `args`."""
-    cap = PowellOptions.max_evaluations if args.max_evaluations is None else args.max_evaluations
-    return {"optimizer": PowellOptions(max_evaluations=cap), "point_budget_s": args.budget_s}
+    return {"optimizer": PowellOptions(max_evaluations=args.max_evaluations),
+            "point_budget_s": args.budget_s}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gibbs-qaoa",
                      description="Exact simulation harness for fair-sampling "
-                                 "variational circuits on small Ising instances.")
+                                 "variational circuits on small Ising instances.",
+                     fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="optimize a single (method, scheme, p, T) point")
@@ -89,24 +95,20 @@ def build_parser() -> _Parser:
     p_run.add_argument("--json", metavar="PATH", help="also write the record as JSON")
 
     p_sweep = sub.add_parser("sweep", help="run a (method, scheme, T, p) grid")
-    # The flags a config file can also set default to None, so that one given
-    # on the command line wins over the same key in the file.
-    p_sweep.add_argument("--config", metavar="PATH", help="key-value config file")
-    inst_group = p_sweep.add_mutually_exclusive_group()
-    inst_group.add_argument("--toy", action="store_true", default=None)
-    inst_group.add_argument("--instance", metavar="PATH")
-    p_sweep.add_argument("--methods", nargs="+", choices=harness.METHODS)
-    p_sweep.add_argument("--schemes", nargs="+", choices=SCHEMES)
-    p_sweep.add_argument("--depths", nargs="+", type=int)
-    p_sweep.add_argument("--temperatures", nargs="+", type=float)
+    _add_instance_flags(p_sweep)
+    p_sweep.add_argument("--methods", nargs="+", choices=harness.METHODS,
+                         default=harness.METHODS)
+    p_sweep.add_argument("--schemes", nargs="+", choices=SCHEMES, default=SCHEMES)
+    p_sweep.add_argument("--depths", nargs="+", type=int, default=harness.DEFAULT_DEPTHS)
+    p_sweep.add_argument("--temperatures", nargs="+", type=float,
+                         default=harness.DEFAULT_TEMPERATURES)
     _add_optimizer_flags(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=None,
+    p_sweep.add_argument("--workers", type=int,
                          help="worker processes (default: one per core)")
     p_sweep.add_argument("--out-csv", metavar="PATH")
     p_sweep.add_argument("--out-json", metavar="PATH")
     p_sweep.add_argument("--fig-dir", metavar="DIR",
-                         help="emit fig2*/fig3* data files into DIR")
-    p_sweep.add_argument("--svg", action="store_true", help="also write SVG plots")
+                         help="write the fig2*/fig3* data files and SVG plots into DIR")
 
     p_verify = sub.add_parser("verify-instance",
                               help="brute-force ground-set report (checks the "
@@ -150,51 +152,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-# Config-file keys: the sweep flags a file may set.
-SWEEP_KEYS = ("instance", "methods", "schemes", "depths", "temperatures",
-              "max_evaluations", "budget_s", "workers")
-
-
-def _parse_config_file(path) -> argparse.Namespace:
-    """The sweep arguments a config file gives. Each line `key v...` stands
-    for the flag `--key v...` (`instance toy` for `--toy`), and all of them
-    go through the sweep parser, with the flags' own checks."""
-    tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, *values = line.split()
-            if not values or any(v.startswith("--") for v in values):
-                raise ValueError(f"config line {lineno}: expected '<key> <value...>'")
-            key = key.lower()
-            if key not in SWEEP_KEYS:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            if key == "instance" and values == ["toy"]:
-                tokens.append("--toy")
-            else:
-                tokens += ["--" + key.replace("_", "-"), *values]
-    try:
-        return build_parser().parse_args(["sweep", *tokens])
-    except _ParseError as exc:
-        raise ValueError(f"config file {path}: {exc.args[1]}") from None
-
-
 def _sweep_config(args) -> harness.SweepConfig:
-    if args.config:
-        given = {k: v for k, v in vars(args).items() if v is not None}
-        if "toy" in given or "instance" in given:  # one setting, two flags
-            given.update(toy=args.toy, instance=args.instance)
-        args = argparse.Namespace(**{**vars(_parse_config_file(args.config)), **given})
-    if not (args.toy or args.instance):
-        raise ValueError("no instance given (use --toy, --instance, or config 'instance')")
     return harness.SweepConfig(
         instance=_resolve_instance(args)[0],
-        methods=tuple(args.methods or harness.METHODS),
-        schemes=tuple(args.schemes or SCHEMES),
-        depths=tuple(args.depths or harness.DEFAULT_DEPTHS),
-        temperatures=tuple(args.temperatures or harness.DEFAULT_TEMPERATURES),
+        methods=tuple(args.methods),
+        schemes=tuple(args.schemes),
+        depths=tuple(args.depths),
+        temperatures=tuple(args.temperatures),
         **_optimizer_settings(args),
         workers=args.workers,
     )
@@ -212,7 +176,7 @@ def cmd_sweep(args) -> int:
     if args.fig_dir:
         for figure in ("fig2", "fig3"):
             try:
-                paths = harness.emit_fig_data(records, figure, args.fig_dir, svg=args.svg)
+                paths = harness.emit_fig_data(records, figure, args.fig_dir, svg=True)
             except harness.MissingPanelData as exc:  # a grid that cannot fill the figure
                 print(f"skipped {figure}: {exc}", file=sys.stderr)
                 continue
@@ -238,7 +202,7 @@ def cmd_verify_instance(args) -> int:
         print(f"flip orbits: {len(gs.orbits)}")
         for i, (a, b) in enumerate(gs.orbits, start=1):
             print(f"  pair {i}: |{index_to_ket(a, inst.n)}>, |{index_to_ket(b, inst.n)}>")
-    if getattr(args, "toy", False):
+    if args.toy:
         expected_states = tuple(sorted(toy_ground_states()))
         ok = gs.e0 == -4.0 and gs.states == expected_states and len(gs.orbits) == 3
         print(f"benchmark check (E0 = -4, six known states, three pairs): "

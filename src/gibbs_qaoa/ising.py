@@ -63,9 +63,13 @@ class IsingInstance:
         object.__setattr__(
             self, "couplings", dict(sorted((k, float(v)) for k, v in self.couplings.items()))
         )
-        for value in (*self.couplings.values(), *self.fields):
+        values = (*self.couplings.values(), *self.fields)
+        for value in values:
             if not math.isfinite(value):
                 raise InstanceError(f"non-finite coupling or field {value!r}")
+        # |E| <= sum |J| + sum |h|, so a finite sum keeps every energy finite.
+        if not math.isfinite(sum(abs(v) for v in values)):
+            raise InstanceError("couplings and fields too large: sum |J| + sum |h| overflows")
 
     @property
     def dim(self) -> int:
@@ -278,14 +282,15 @@ def parse_instance(text: str) -> IsingInstance:
 
     Directives: `n <int>` (exactly once, first), `j <i> <j> <real>` with
     i < j (at most once per pair), `h <i> <real>` (at most once per spin).
-    `#` comments and blank lines are ignored. Errors carry line numbers.
+    `#` starts a comment that runs to the end of its line; blank lines are
+    ignored. Errors carry line numbers.
     """
     n = None
     couplings: dict[tuple[int, int], float] = {}
     fields: dict[int, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         tokens = line.split()
         kind = tokens[0].lower()

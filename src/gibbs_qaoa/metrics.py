@@ -30,9 +30,10 @@ def fairness_gap(orbit_probs) -> float:
 
 
 def total_variation_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the l1 distance between two distributions."""
+    """Half the l1 distance between two distributions, at most 1 (rounding
+    can carry the sum for disjoint supports just past it)."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"distribution shapes differ: {a.shape} vs {b.shape}")
-    return float(0.5 * np.abs(a - b).sum())
+    return min(float(0.5 * np.abs(a - b).sum()), 1.0)

@@ -111,6 +111,18 @@ class TestUsageErrors:
         assert err.startswith("error:") and value in err
         assert "p_gs" not in out and "completed" not in out
 
+    @pytest.mark.parametrize("command", [
+        "verify-instance", "gibbs -T 1", "oracle", "run --method sbo -T 1 -p 1",
+    ], ids=lambda arg: arg.split()[0])
+    def test_instance_whose_energies_overflow(self, capsys, tmp_path, command):
+        path = tmp_path / "big.txt"
+        path.write_text("n 3\nj 1 2 1e308\nj 2 3 1e308\nj 1 3 1e308\n")
+        name, *flags = command.split()
+        code, out, err = run_cli(capsys, name, "--instance", str(path), *flags)
+        assert code == 1
+        assert err.startswith("error:") and "too large" in err
+        assert out == ""
+
     def test_unreadable_instance(self, capsys):
         code, _, err = run_cli(capsys, "gibbs", "--instance", "/does/not/exist", "-T", "1")
         assert code == 1
@@ -138,7 +150,7 @@ class TestSweep:
             capsys, "sweep", "--toy", "--methods", "qaoa", "sbo",
             "--schemes", "full", "linearized", "--depths", "1", "2",
             "--temperatures", "1.0", "--max-evaluations", "2000", "--workers", "1",
-            "--out-csv", str(csv_path), "--fig-dir", str(fig_dir), "--svg",
+            "--out-csv", str(csv_path), "--fig-dir", str(fig_dir),
         )
         assert code == 0
         assert "completed 8 of 8 points" in out
@@ -162,18 +174,18 @@ class TestSweep:
         assert (fig_dir / "fig3a.dat").exists()
 
     def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
+        cfg = tmp_path / "sweep.args"
         cfg.write_text(
             "# tiny sweep\n"
-            "instance toy\n"
-            "methods qaoa\n"
-            "schemes full\n"
-            "depths 1\n"
-            "max_evaluations 500\n"
+            "--toy\n"
+            "--methods qaoa  # one method\n"
+            "--schemes full\n"
+            "--depths 1\n"
+            "--max-evaluations 500\n"
         )
         out_json = tmp_path / "r.json"
         code, out, _ = run_cli(
-            capsys, "sweep", "--config", str(cfg), "--out-json", str(out_json),
+            capsys, "sweep", f"@{cfg}", "--out-json", str(out_json),
         )
         assert code == 0
         data = json.loads(out_json.read_text())
@@ -184,22 +196,49 @@ class TestSweep:
                                      "seed", "ftol", "xtol", "max_iterations"])
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, key):
         # typos, and settings that the optimizer no longer takes
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"instance toy\nmax_evaluations 4\n{key} 10\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        cfg = tmp_path / "sweep.args"
+        cfg.write_text(f"--toy\n--max-evaluations 4\n--{key} 10\n")
+        code, out, err = run_cli(capsys, "sweep", f"@{cfg}")
         assert code == 1
-        assert f"config line 3: unknown key '{key}'" in err
+        assert f"unrecognized arguments: --{key} 10" in err
         assert "completed" not in out
 
     def test_explicit_flag_beats_config_file(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("instance toy\nmax_evaluations 4\ndepths 3\n")
-        args = cli.build_parser().parse_args(
-            ["sweep", "--config", str(cfg), "--max-evaluations", "200000"])
-        sweep = cli._sweep_config(args)
+        cfg = tmp_path / "sweep.args"
+        cfg.write_text("--toy\n--max-evaluations 4\n--depths 3\n")
+        sweep = sweep_config(f"@{cfg}", "--max-evaluations", "200000")
         assert sweep.optimizer.max_evaluations == 200_000  # the flag's default, still explicit
         assert sweep.depths == (3,)  # from the file
         assert sweep.point_budget_s is None  # the default: no wall-clock net
+
+    def test_config_file_beats_an_earlier_flag(self, tmp_path):
+        cfg = tmp_path / "sweep.args"
+        cfg.write_text("--toy\n--depths 3\n")
+        sweep = sweep_config("--depths", "1", "2", "--max-evaluations", "7", f"@{cfg}")
+        assert sweep.depths == (3,)  # the file stands where it is given
+        assert sweep.optimizer.max_evaluations == 7  # not in the file
+
+    def test_toy_in_file_with_instance_flag_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.args"
+        cfg.write_text("--toy\n")
+        instance = tmp_path / "ferro.txt"
+        instance.write_text("n 2\nj 1 2 1.0\n")
+        code, out, err = run_cli(capsys, "sweep", f"@{cfg}", "--instance", str(instance))
+        assert code == 1
+        assert "not allowed with" in err
+        assert "completed" not in out
+
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", f"@{tmp_path / 'missing.args'}")
+        assert code == 1
+        assert err.startswith("usage:") and "missing.args" in err
+        assert "completed" not in out
+
+    def test_run_reads_an_argument_file(self, tmp_path):
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--toy --method sbo  # one point\n-p 2 -T 0.5\n")
+        args = cli.build_parser().parse_args(["run", f"@{cfg}", "-p", "3"])
+        assert (args.toy, args.method, args.depth, args.temperature) == (True, "sbo", 3, 0.5)
 
     def test_run_flags_keep_defaults(self):
         args = cli.build_parser().parse_args(["run", "--toy", "--method", "qaoa", "-p", "1"])
@@ -209,7 +248,7 @@ class TestSweep:
     def test_no_instance_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--methods", "qaoa")
         assert code == 1
-        assert "no instance" in err
+        assert "--toy" in err
 
 
 def sweep_config(*argv):
@@ -218,7 +257,7 @@ def sweep_config(*argv):
 
 class TestConfigFile:
     def test_example_config_values(self):
-        cfg = sweep_config("--config", str(SCRIPTS / "sweep_example.cfg"))
+        cfg = sweep_config(f"@{SCRIPTS / 'sweep_example.cfg'}")
         assert cfg == SweepConfig(
             instance=toy_instance(),
             methods=("qaoa", "sbo"),
@@ -234,9 +273,9 @@ class TestConfigFile:
                                             ("methods qoaa", "--methods")])
     def test_bad_value_names_its_flag(self, capsys, tmp_path, line, flag):
         # file values get the same type and choice checks as the flags
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"instance toy\n{line}\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        cfg = tmp_path / "sweep.args"
+        cfg.write_text(f"--toy\n--{line}\n")
+        code, out, err = run_cli(capsys, "sweep", f"@{cfg}")
         assert code == 1
         assert f"argument {flag}" in err
         assert "completed" not in out

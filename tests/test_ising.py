@@ -49,6 +49,26 @@ def test_instance_validation():
         IsingInstance(n=2, fields=(float("inf"), 0.0))
 
 
+@pytest.mark.parametrize("couplings, fields", [
+    ({(1, 2): 1e308, (2, 3): 1e308, (1, 3): 1e308}, ()),
+    ({(1, 2): -1e308}, (0.0, 0.0, -1e308)),
+    ({}, (1e308, 1e308, 0.0)),
+], ids=["couplings", "mixed-signs", "fields"])
+def test_finite_values_whose_energies_overflow_are_rejected(couplings, fields):
+    # each value is finite, but sum |J| + sum |h| bounds |E| and is not
+    with pytest.raises(InstanceError, match="too large"):
+        IsingInstance(n=3, couplings=couplings, fields=fields)
+    text = "n 3\n" + "".join(f"j {i} {j} {v!r}\n" for (i, j), v in couplings.items())
+    text += "".join(f"h {i} {h!r}\n" for i, h in enumerate(fields, start=1))
+    with pytest.raises(InstanceError, match="too large"):
+        parse_instance(text)
+
+
+def test_largest_finite_energy_scale_is_kept():
+    inst = IsingInstance(n=3, couplings={(1, 2): 8e307, (2, 3): 4e307, (1, 3): 4e307})
+    assert float(energy_table(inst).min()) == -1.6e308
+
+
 class TestClassicalEnergy:
     def test_toy_all_up(self):
         assert classical_energy(toy_instance(), 0b11111) == -4.0
@@ -280,6 +300,11 @@ j 2 4 -1
         inst = parse_instance(text)
         assert inst.couplings == {(1, 2): -1.5}
         assert inst.fields == (0.0, 0.25)
+
+    def test_trailing_comments_ignored(self):
+        text = "n 3   # spins\nj 1 2 1.0     # coupling J_ij\nh 2 -0.5#field\n#\n  # indented\n"
+        inst = parse_instance(text)
+        assert inst == IsingInstance(n=3, couplings={(1, 2): 1.0}, fields=(0.0, -0.5, 0.0))
 
     def test_missing_n(self):
         with pytest.raises(InstanceFormatError):

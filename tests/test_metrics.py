@@ -119,6 +119,15 @@ def test_tvd_symmetry_and_triangle(a, b, c):
     assert ab <= total_variation_distance(a, c) + total_variation_distance(c, b) + 1e-12
 
 
+def test_tvd_of_disjoint_supports_is_exactly_one():
+    # the summed differences round to 2 + 4.4e-16 here
+    a = np.array([0.041, 0.732, 0, 0, 0, 0, 0]) / 0.773
+    tail = np.array([0.614, 0.028, 0.719, 0.016, 0.758])
+    b = np.concatenate([np.zeros(2), tail / tail.sum()])
+    assert total_variation_distance(a, b) == 1.0
+    assert total_variation_distance(b, a) == 1.0
+
+
 def test_orbit_members_carry_equal_probability(toy_gs):
     # circuit outputs inherit the global flip symmetry exactly
     rng = np.random.default_rng(9)
