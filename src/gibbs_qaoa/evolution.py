@@ -8,15 +8,15 @@ eigendecomposition, never Trotterized.
 
 The state is carried in the eigenbasis of the cost operator (for the
 classical cost, the computational basis), so every cost phase is a diagonal
-multiply and the objective is a dot product with the eigenvalues. Only the
-mixer step leaves that basis. Instances without fields carry only the
-even global-flip sector, half the amplitudes (see CircuitSimulator).
+multiply and the objective is a dot product with the eigenvalues. The mixer
+phase is diagonal in the Hadamard basis (see CircuitSimulator). Instances
+without fields carry only the even global-flip sector, half the amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,14 +24,11 @@ from .eigensolver import EigenDecomposition
 from .ising import IsingInstance, energy_table
 from .operators import build_sbo, sbo_eigendecomposition
 
-# Up to 2^FUSED_MAX_SPINS carried amplitudes (this many spins, one more in
-# the even sector) the mixer step is two dense products with the
-# cost-eigenbasis -> Hadamard transform; above, the dense spin blocks of
-# apply_mixer in the computational basis. Per layer at p = 100 (one BLAS
-# thread), fused vs blocks at 2^7 and 2^8 carried amplitudes: with fields,
-# 18 vs 30 and 68 vs 25 us on the classical cost, 22 vs 52 and 74 vs 69 us
-# on the sbo cost; without fields, 14 vs 28 and 76 vs 40 us on the
-# classical cost, 17 vs 56 and 64 vs 59 us on the sbo cost.
+# The classical cost takes the transform mixer step up to 2^FUSED_MAX_SPINS
+# carried amplitudes (this many spins, one more in the even sector) and
+# apply_mixer's dense spin blocks above; the sbo cost always takes the
+# transform. The benchmark runs one shape on each side: the toy's 16
+# amplitudes on the transform and 8192 (n = 14, no fields) in blocks.
 FUSED_MAX_SPINS = 7
 
 # Widest spin group apply_mixer treats as one dense block (32 x 32).
@@ -112,27 +109,6 @@ def _hamming(k: int) -> np.ndarray:
     return d
 
 
-def _real_matmul(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """m @ psi for a real matrix and a complex vector (or each row of a
-    stack of them), as one real product with two columns, so m is never
-    copied to complex."""
-    pairs = np.ascontiguousarray(psi, dtype=complex).view(float).reshape(*psi.shape, 2)
-    return (m @ pairs).view(complex).reshape(psi.shape)
-
-
-def mixer_eigenvalues(n: int) -> np.ndarray:
-    """Eigenvalues of sum_i sigma_x^i in the Hadamard-transformed basis."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    ones = np.bitwise_count(idx).astype(np.int64)
-    return (n - 2 * ones).astype(float)
-
-
-def hadamard_matrix(n: int) -> np.ndarray:
-    """Normalized n-fold Hadamard transform (orthogonal, symmetric)."""
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return reduce(np.kron, [h1] * n)
-
-
 class CircuitSimulator:
     """Propagates angle schedules for one instance and one cost kind.
 
@@ -141,53 +117,43 @@ class CircuitSimulator:
     what makes optimizer loops affordable. Runs carry the coefficients c of
     the state in the cost eigenbasis V (V = identity for the classical
     cost): each layer multiplies c by exp(-i gamma eigenvalue), then applies
-    the mixer as B^T (mixer phase * B c) with the dense transform B = W V
-    (W the Hadamard transform) up to 2^FUSED_MAX_SPINS amplitudes, and as
-    V^T apply_mixer(V c) above.
+    the mixer as B^T (mixer phase * B c) with the real transform B = W V,
+    W the Hadamard transform. The classical cost above 2^FUSED_MAX_SPINS
+    amplitudes applies apply_mixer to c instead. The real matrices act on
+    the state's real and imaginary parts as one two-column product per row.
 
     When every field is zero, |+>, H_X and the cost operator commute with
     the global flip, so the state never leaves the even sector. The
     simulator then carries u = sqrt(2) psi[:2^(n-1)] in the basis
     e_x = (|x> + |~x>)/sqrt(2): V diagonalizes the cost operator's block on
-    that sector, B keeps the even-parity Hadamard rows, and above the
-    threshold the mixer acts on the low n - 1 spins by apply_mixer's dense
-    blocks and on the top spin as u -> cos(beta) u - i sin(beta) reversed(u).
+    that sector, W keeps the even-parity Hadamard rows, and the block
+    mixer acts on the low n - 1 spins by apply_mixer's dense blocks and on
+    the top spin as u -> cos(beta) u - i sin(beta) reversed(u).
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):
         n, dim = inst.n, inst.dim
         self.sector = inst.flip_symmetric
         width = dim >> self.sector  # length of the carried vector
+        # |+>^n, carried (in the sector u = sqrt(2) psi[:width])
+        self._c0 = plus_state(n)[:width] * np.sqrt(dim / width)
+        self._eig = None
         if kind.temperature is None:
             self.cost_eigs = energy_table(inst)[:width]
-            self._eig = None
-            self._from_cost = self._to_cost = np.asarray  # V is the identity
         else:
-            sbo = build_sbo(inst, kind.temperature)
-            self._eig = sbo_eigendecomposition(sbo, even=self.sector)
+            self._eig = sbo_eigendecomposition(build_sbo(inst, kind.temperature), self.sector)
             self.cost_eigs = self._eig.eigenvalues
-            self._from_cost = partial(_real_matmul, self._eig.eigenvectors)
-            self._to_cost = partial(_real_matmul, self._eig.eigenvectors.T)
-        self._mixer = _apply_even_mixer if self.sector else apply_mixer
-        self._fused = width <= 1 << FUSED_MAX_SPINS
-        # |+>^n, carried (in the sector u = sqrt(2) psi[:width])
-        self._c0 = self._to_cost(plus_state(n)[:width] * np.sqrt(dim / width))
-        self._c0.flags.writeable = False  # returned as is by a zero-layer run
+            self._c0 = _complex(self._eig.eigenvectors.T @ _pairs(self._c0))
         # Each phase is exp(-i angle level), gathered from the distinct
         # eigenvalues (n + 1 of them for the mixer).
-        self._cost_levels, self._cost_index = _levels(self.cost_eigs)
-        if self._fused:
-            w = hadamard_matrix(n)
-            mixer_eigs = mixer_eigenvalues(n)
-            if self.sector:
-                # W e_x is sqrt(2) W[k, x] on rows k of even parity, 0 on odd.
-                even = np.bitwise_count(np.arange(dim)) % 2 == 0
-                w = np.sqrt(2.0) * w[even, :width]
-                mixer_eigs = mixer_eigs[even]
-            to_had = w if self._eig is None else w @ self._eig.eigenvectors
-            self._to_had = to_had.astype(complex)
-            self._from_had = np.ascontiguousarray(self._to_had.T)
-            self._mix_levels, self._mix_index = _levels(mixer_eigs)
+        self._cost_levels = _levels(self.cost_eigs)
+        self._b = None  # the transform B = W V, or None for the block step
+        if self._eig is not None or width <= 1 << FUSED_MAX_SPINS:
+            w, mixer_eigs = _hadamard_rows(n, self.sector)
+            self._b = w if self._eig is None else w @ self._eig.eigenvectors
+            self._mix_levels = _levels(mixer_eigs)
+        else:
+            self._mixer = _apply_even_mixer if self.sector else apply_mixer
 
     @property
     def eig(self) -> EigenDecomposition | None:
@@ -208,40 +174,42 @@ class CircuitSimulator:
         Angles of shape (p, K), layers on axis 0, run K schedules together
         and give a (K, width) array. Each row is bit-identical to its
         schedule run alone: every product is taken per row, as a matrix
-        times one vector (a matrix-matrix product would round differently).
+        times one row (a matrix-matrix product would round differently).
         """
-        gammas = np.asarray(gammas, dtype=float)
-        betas = np.asarray(betas, dtype=float)
+        gammas, betas = np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)
         if gammas.shape != betas.shape:
             raise ValueError("schedule gamma/beta lengths differ")
-        batch = gammas.shape[1:]  # (K,) for a batch, () for one schedule
-        c = self._c0
-        if batch:
-            c = np.repeat(c[None], batch[0], axis=0)
-        if self._fused:
-            cost_ph = np.exp(np.multiply.outer(gammas, self._cost_levels)).take(
-                self._cost_index, axis=-1)
-            mix_ph = np.exp(np.multiply.outer(betas, self._mix_levels)).take(
-                self._mix_index, axis=-1)
-            if batch:
-                # Stacks of column vectors, so that b @ c is one
-                # matrix-vector product per row.
-                c, cost_ph, mix_ph = c[..., None], cost_ph[..., None], mix_ph[..., None]
-            b = self._to_had
-            bt = self._from_had
-            for cp, mp in zip(cost_ph, mix_ph):
-                c = bt @ (mp * (b @ (cp * c)))
-        else:
+        # One start row per schedule, as real pairs x and their complex view c.
+        x = np.empty((*gammas.shape[1:], self._c0.size, 2))
+        c = _complex(x)
+        c[...] = self._c0
+        if self._b is None:
             # Phases per layer: a p x 2^n table would dominate the memory.
             for g, beta in zip(gammas, betas):
-                cp = np.exp(np.multiply.outer(g, self._cost_levels)).take(self._cost_index, axis=-1)
-                c = self._to_cost(self._mixer(self._from_cost(cp * c), beta))
-        return c.reshape(*batch, -1)
+                c = self._mixer(_phases(g, *self._cost_levels) * c, beta)
+            return c
+        # Each call below writes its third argument (out, by position: the
+        # faster call). No product is taken in place: a complex product of
+        # length 1 rounds differently in place, which would part a batched
+        # row from its solo run at one carried amplitude.
+        y = np.empty_like(x)
+        d = _complex(y)
+        b, bt = self._b, self._b.T
+        cost_ph = _phases(gammas, *self._cost_levels)
+        mix_ph = _phases(betas, *self._mix_levels)
+        for cp, mp in zip(cost_ph, mix_ph):
+            np.multiply(c, cp, d)
+            np.matmul(b, y, x)
+            np.multiply(c, mp, d)
+            np.matmul(bt, y, x)
+        return c
 
     def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         """Final state vector in the computational basis; angles of shape
         (p, K) give the K final states as rows."""
-        u = self._from_cost(self._run(gammas, betas))
+        u = self._run(gammas, betas)
+        if self._eig is not None:
+            u = _complex(self._eig.eigenvectors @ _pairs(u))
         return _embed(u) if self.sector else u
 
     def objective_angles(self, gammas: np.ndarray, betas: np.ndarray):
@@ -281,10 +249,39 @@ def _embed(u: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.concatenate((u, np.flip(u, axis)), axis) * np.sqrt(0.5)
 
 
+def _hadamard_rows(n: int, even: bool) -> tuple[np.ndarray, np.ndarray]:
+    """W[k, x] = (-1)^popcount(k & x) / sqrt(width), the Hadamard transform
+    of the carried amplitudes, and the eigenvalue n - 2 popcount(k) of
+    sum_i sigma_x^i on each row k. In the even sector W e_x is nonzero only
+    on even-parity rows k, so W keeps those and the columns x < 2^(n-1)."""
+    rows = np.arange(1 << n, dtype=np.uint32)  # k & x takes 256 MB at width 8192
+    if even:
+        rows = rows[np.bitwise_count(rows) % 2 == 0]
+    parity = np.bitwise_count(rows[:, None] & np.arange(rows.size, dtype=np.uint32)) & 1
+    scale = rows.size ** -0.5
+    return np.where(parity, -scale, scale), n - 2.0 * np.bitwise_count(rows)
+
+
+def _pairs(c: np.ndarray) -> np.ndarray:
+    """(..., width, 2) real view of a C-contiguous complex array: the two
+    columns a real matrix multiplies."""
+    return c.view(float).reshape(*c.shape, 2)
+
+
+def _complex(x: np.ndarray) -> np.ndarray:
+    """The complex (..., width) view of real pairs (..., width, 2)."""
+    return x.view(complex)[..., 0]
+
+
 def _levels(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """-1j times the distinct eigenvalues, and each eigenvalue's index among them."""
     distinct, index = np.unique(eigs, return_inverse=True)
     return -1j * distinct, index
+
+
+def _phases(angles: np.ndarray, levels: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """exp(-i angle eigenvalue) for each angle, over the eigenvalues in order."""
+    return np.exp(np.multiply.outer(angles, levels)).take(index, axis=-1)
 
 
 __all__ = [
@@ -292,6 +289,4 @@ __all__ = [
     "CircuitSimulator",
     "plus_state",
     "apply_mixer",
-    "mixer_eigenvalues",
-    "hadamard_matrix",
 ]

@@ -230,9 +230,10 @@ def gibbs_distribution(inst: IsingInstance, temperature: float) -> GibbsDistribu
         raise ValueError(f"temperature must be positive, got {temperature}")
     e = energy_table(inst)
     e0 = e.min()
-    w = np.exp(-(e - e0) / temperature)
-    total = w.sum()
-    log_z = float(-e0 / temperature + np.log(total))
+    with np.errstate(over="ignore"):  # an overflowed exponent is a weight of 0
+        w = np.exp(-(e - e0) / temperature)
+        total = w.sum()
+        log_z = float(-e0 / temperature + np.log(total))
     return GibbsDistribution(
         temperature=float(temperature), probabilities=w / total, log_z=log_z
     )
@@ -247,7 +248,8 @@ def gibbs_amplitudes(inst: IsingInstance, temperature: float) -> np.ndarray:
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     e = energy_table(inst)
-    amps = np.exp(-(e - e.min()) / (2.0 * temperature))
+    with np.errstate(over="ignore"):  # an overflowed exponent is amplitude 0
+        amps = np.exp(-(e - e.min()) / (2.0 * temperature))
     return amps / np.linalg.norm(amps)
 
 

@@ -71,12 +71,13 @@ def build_sbo(inst: IsingInstance, temperature: float) -> SboOperator:
         raise ValueError(f"temperature must be positive, got {temperature}")
     terms = local_terms(inst)
     a = float(np.abs(terms).max())  # alpha(inst), from the same table
-    return SboOperator(
-        n=inst.n,
-        temperature=float(temperature),
-        diag=sum(np.exp((terms - a) / temperature)),
-        offdiag=float(-np.exp(-a / temperature)),
-    )
+    with np.errstate(over="ignore"):  # an overflowed exponent is a term of 0
+        return SboOperator(
+            n=inst.n,
+            temperature=float(temperature),
+            diag=sum(np.exp((terms - a) / temperature)),
+            offdiag=float(-np.exp(-a / temperature)),
+        )
 
 
 def densify(op: SboOperator) -> np.ndarray:

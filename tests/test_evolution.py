@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -12,9 +13,9 @@ from gibbs_qaoa.evolution import (
     CircuitSimulator,
     CostKind,
     _apply_even_mixer,
+    _embed,
+    _hadamard_rows,
     apply_mixer,
-    hadamard_matrix,
-    mixer_eigenvalues,
     plus_state,
 )
 from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
@@ -127,11 +128,15 @@ class TestMixer:
             low = apply_mixer(state, beta)
             assert np.array_equal(row, np.cos(beta) * low - 1j * np.sin(beta) * low[::-1])
 
+    # W^T diag(d) W is the mixer Hamiltonian on the carried amplitudes: all
+    # of them, or the even sector's basis e_x = (|x> + |~x>)/sqrt(2).
     def test_hadamard_diagonalization(self):
         for n in (1, 2, 3, 5):
-            w = hadamard_matrix(n)
-            d = mixer_eigenvalues(n)
-            assert np.allclose(w @ np.diag(d) @ w, densified_mixer(n), atol=1e-12)
+            w, d = _hadamard_rows(n, even=False)
+            assert np.allclose(w.T @ np.diag(d) @ w, densified_mixer(n), atol=1e-12)
+            w, d = _hadamard_rows(n, even=True)
+            e = _embed(np.eye(1 << (n - 1)), axis=0)  # columns e_x
+            assert np.allclose(w.T @ np.diag(d) @ w, e.T @ densified_mixer(n) @ e, atol=1e-12)
 
 
 class TestRunCircuit:
@@ -190,10 +195,11 @@ class TestRunCircuit:
 
     @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(1.0)])
     @pytest.mark.parametrize("inst", [
-        toy_instance(),  # no fields: the even sector, dense mixer step
+        toy_instance(),  # no fields: the even sector, transform mixer step
         IsingInstance(n=4, couplings={(1, 2): 1.0, (2, 3): -1.0, (3, 4): 1.0},
                       fields=(0.5, 0.0, -0.3, 0.2)),
-        # no fields, 2^8 carried amplitudes: the block mixer step
+        # no fields, 2^8 carried amplitudes: the transform step on the sbo
+        # cost, the block step on the classical one
         IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)}),
     ], ids=["toy", "fields", "chain9"])
     def test_batch_rows_equal_single_runs(self, inst, kind):
@@ -224,28 +230,54 @@ class TestSboPhase:
     """The sbo cost phase exp(-i gamma H_S(T)), seen through the simulator."""
 
     def test_zero_angle_is_identity(self):
-        # A layer with gamma = 0 must leave the state to the mixer alone; the
-        # toy instance takes the dense mixer step and the chain the block one.
+        # A layer with gamma = 0 must leave the state to the mixer alone. The
+        # sbo cost takes the transform step on both instances; the classical
+        # cost on the chain, above FUSED_MAX_SPINS, takes the block step.
         chain = IsingInstance(
             n=FUSED_MAX_SPINS + 1,
             couplings={(i, i + 1): 1.0 for i in range(1, FUSED_MAX_SPINS + 1)},
             fields=tuple(0.3 * (-1) ** i for i in range(FUSED_MAX_SPINS + 1)),
         )
-        for inst in (toy_instance(), chain):
-            sim = CircuitSimulator(inst, CostKind.sbo(0.8))
+        for inst, kind in ((toy_instance(), CostKind.sbo(0.8)), (chain, CostKind.sbo(0.8)),
+                           (chain, CostKind.classical())):
+            sim = CircuitSimulator(inst, kind)
             first = sim.run_angles([0.9], [0.4])
             both = sim.run_angles([0.9, 0.0], [0.4, -0.6])
             assert np.abs(both - apply_mixer(first, -0.6)).max() <= 1e-12
 
     def test_kernel_state_probabilities_unchanged(self):
-        # With no couplings or fields, |+> spans the kernel of H_S(T) and is
-        # an eigenstate of the mixer; n = 1 takes the dense mixer step and
-        # FUSED_MAX_SPINS + 2 the block one (a field-free instance carries
-        # half the amplitudes).
-        for n in (1, FUSED_MAX_SPINS + 2):
-            sim = CircuitSimulator(IsingInstance(n=n), CostKind.sbo(1.0))
+        # With no couplings or fields, |+> spans the kernel of H_S(T) (and
+        # has zero classical energy) and is an eigenstate of the mixer. The
+        # sbo cost takes the transform step at both sizes; the classical cost
+        # at FUSED_MAX_SPINS + 2 spins takes the block step (a field-free
+        # instance carries half the amplitudes).
+        for n, kind in ((1, CostKind.sbo(1.0)), (FUSED_MAX_SPINS + 2, CostKind.sbo(1.0)),
+                        (FUSED_MAX_SPINS + 2, CostKind.classical())):
+            sim = CircuitSimulator(IsingInstance(n=n), kind)
             psi = sim.run_angles([0.0, 1.234], [0.0, 0.7])
             assert np.abs(np.abs(psi) ** 2 - 2.0 ** -n).max() <= 1e-12
+
+    # The sbo simulator keeps V and B = W V as its only width x width
+    # matrices, both real: no complex copy of B and no stored transpose.
+    @pytest.mark.parametrize("inst", [
+        toy_instance(),
+        IsingInstance(n=4, couplings={(1, 2): 1.0, (2, 3): -1.0, (3, 4): 1.0},
+                      fields=(0.5, 0.0, -0.3, 0.2)),
+        IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)}),  # 256 carried
+    ], ids=["toy", "fields", "chain9"])
+    def test_transform_memory(self, inst):
+        def held(obj):
+            for value in vars(obj).values():
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif dataclasses.is_dataclass(value):  # the eigendecomposition
+                    yield from held(value)
+
+        sim = CircuitSimulator(inst, CostKind.sbo(1.0))
+        width = sim.cost_eigs.size
+        square = [a for a in held(sim) if a.shape == (width, width)]
+        assert len(square) <= 2
+        assert not any(np.iscomplexobj(a) for a in square)
 
 
 class TestCostKind:
@@ -274,8 +306,9 @@ def dense_reference(h_cost, n, gammas, betas):
     return psi, float(np.vdot(psi, h_cost @ psi).real)
 
 
-# n runs across FUSED_MAX_SPINS, so both the dense-transform path and the
-# block-mixer path (with its real-matrix sbo phase) meet the reference.
+# n runs across FUSED_MAX_SPINS, so the classical cost meets the reference
+# on both its transform and its block mixer step, and the sbo cost on its
+# transform step at every width up to 2^10 amplitudes.
 @pytest.mark.parametrize("n", range(2, 11))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -308,8 +341,9 @@ def test_fast_paths_match_dense_reference(n, data):
 
 # The field-free case, which the simulator propagates in the even
 # global-flip sector of 2^(n-1) amplitudes, against the same full-space
-# dense reference; both costs take the dense-transform mixer step up to
-# n = FUSED_MAX_SPINS + 1 and the block step above.
+# dense reference; the classical cost takes the transform mixer step up to
+# n = FUSED_MAX_SPINS + 1 and the block step above, the sbo cost the
+# transform step at every n.
 @pytest.mark.parametrize("n", range(2, 11))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())

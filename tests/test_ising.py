@@ -22,6 +22,7 @@ from gibbs_qaoa.ising import (
     toy_ground_states,
     toy_instance,
 )
+from gibbs_qaoa.operators import build_sbo
 
 GIBBS_PGS_T1 = 0.83591216711007  # 6 / (6 + 8e^-2 + 4e^-4 + 8e^-6 + 6e^-8)
 GIBBS_Z_T1 = 391.89392508953597
@@ -153,6 +154,20 @@ class TestGibbs:
         dist = gibbs_distribution(toy_instance(), float(t))
         assert abs(dist.probabilities.sum() - 1.0) < 1e-12
         assert (dist.probabilities >= 0).all()
+
+    # Accepted instances whose exponents overflow: 5e307 bonds put energy
+    # gaps past the float range at T = 1, and 1e307 bonds at T = 0.01 put the
+    # gaps over T there. The overflowed weights are exactly 0, so only the
+    # two aligned states (indices 0 and 7) remain, and nothing warns.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bond, t", [(5e307, 1.0), (1e307, 0.01)])
+    def test_overflowing_exponents_give_the_limit(self, bond, t):
+        inst = IsingInstance(n=3, couplings={(1, 2): bond, (2, 3): bond, (1, 3): bond})
+        limit = np.array([0.5, 0, 0, 0, 0, 0, 0, 0.5])
+        assert np.array_equal(gibbs_distribution(inst, t).probabilities, limit)
+        assert np.abs(gibbs_amplitudes(inst, t) - np.sqrt(limit)).max() <= 1e-15
+        op = build_sbo(inst, t)  # kernel: the aligned states
+        assert np.array_equal(op.diag == 0, limit > 0) and op.offdiag == 0
 
     def test_ground_weight_monotone_in_temperature(self):
         inst = toy_instance()

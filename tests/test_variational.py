@@ -132,8 +132,8 @@ class TestObjective:
 
 
 # n runs across FUSED_MAX_SPINS on both sides of the even sector, so the
-# batch meets the dense-transform and the block mixer, each in the full space
-# and in the even sector.
+# batch meets the classical cost's transform and block mixer steps and the
+# sbo cost's transform step, each in the full space and in the even sector.
 @pytest.mark.parametrize("n", range(2, 11))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
