@@ -3,7 +3,7 @@ and Gibbs-targeting alternating-operator circuits on small Ising instances.
 """
 
 from .eigensolver import EigenDecomposition, EigenSolverError, eigh
-from .evolution import CircuitSimulator, CostKind, apply_mixer, plus_state
+from .evolution import CircuitSimulator, CostKind, plus_state
 from .ising import (
     GibbsDistribution,
     GroundSet,

@@ -9,14 +9,14 @@ eigendecomposition, never Trotterized.
 The state is carried in the eigenbasis of the cost operator (for the
 classical cost, the computational basis), so every cost phase is a diagonal
 multiply and the objective is a dot product with the eigenvalues. The mixer
-phase is diagonal in the Hadamard basis (see CircuitSimulator). Instances
-without fields carry only the even global-flip sector, half the amplitudes.
+phase is diagonal in the Hadamard basis, or real spin blocks in a rotated
+frame (see CircuitSimulator). Instances without fields carry only the even
+global-flip sector, half the amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,13 +25,16 @@ from .ising import IsingInstance, energy_table
 from .operators import build_sbo, sbo_eigendecomposition
 
 # The classical cost takes the transform mixer step up to 2^FUSED_MAX_SPINS
-# carried amplitudes (this many spins, one more in the even sector) and
-# apply_mixer's dense spin blocks above; the sbo cost always takes the
-# transform. The benchmark runs one shape on each side: the toy's 16
-# amplitudes on the transform and 8192 (n = 14, no fields) in blocks.
+# carried amplitudes (this many spins, one more in the even sector) and the
+# real block step above; the sbo cost always takes the transform. Measured
+# at p = 100, one BLAS thread, in us per layer (transform / blocks, with
+# fields): one schedule 13 / 30 at 128 amplitudes and 26 / 17 at 256; four
+# schedules 39 / 41 at 128 and 108 / 33 at 256. The benchmark runs one
+# shape on each side: the toy's 16 amplitudes on the transform and 8192
+# (n = 14, no fields) in blocks.
 FUSED_MAX_SPINS = 7
 
-# Widest spin group apply_mixer treats as one dense block (32 x 32).
+# Widest spin group the block step treats as one dense block (32 x 32).
 _BLOCK_SPINS = 5
 
 
@@ -64,51 +67,6 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(dim, dim ** -0.5, dtype=complex)
 
 
-def apply_mixer(psi: np.ndarray, beta) -> np.ndarray:
-    """exp(-i beta sum_i sigma_x^i), as dense blocks of at most 5 spins.
-
-    The operator is R^{(x)n} with R = exp(-i beta sigma_x). The n bits are
-    split into ceil(n / 5) near-equal groups (13 -> 5, 4, 4, the larger
-    ones lowest), and each group's R^{(x)k} is applied as one matrix
-    product over its k bits. Entry (i, j) of R^{(x)k} is
-    cos(beta)^(k - d) (-i sin(beta))^d with d = popcount(i ^ j); the block
-    is symmetric, so it multiplies from either side untransposed.
-
-    psi may be a stack of states (..., 2^n) with one angle each in beta
-    (shape ...); every state gets its own products, so each row is exactly
-    what it would be alone.
-    """
-    lead = psi.shape[:-1]
-    n = psi.shape[-1].bit_length() - 1
-    if n == 0:
-        return psi.copy()
-    groups = -(-n // _BLOCK_SPINS)
-    q, extra = divmod(n, groups)
-    beta = np.asarray(beta, dtype=float)[..., None]
-    x = psi
-    below = 0  # bits under the current group
-    for k in [q + 1] * extra + [q] * (groups - extra):
-        d = np.arange(k + 1)
-        # take, unlike fancy indexing on the last axis, gives contiguous
-        # blocks, which matmul hands to BLAS
-        r = (np.cos(beta) ** (k - d) * (-1j * np.sin(beta)) ** d).take(_hamming(k), axis=-1)
-        if below == 0:
-            x = x.reshape(*lead, -1, 1 << k) @ r
-        else:
-            x = np.matmul(r[..., None, :, :], x.reshape(*lead, -1, 1 << k, 1 << below))
-        below += k
-    return x.reshape(psi.shape)
-
-
-@lru_cache(maxsize=None)
-def _hamming(k: int) -> np.ndarray:
-    """popcount(i ^ j) for i, j < 2^k."""
-    idx = np.arange(1 << k)
-    d = np.bitwise_count(idx[:, None] ^ idx)
-    d.flags.writeable = False  # shared by every call
-    return d
-
-
 class CircuitSimulator:
     """Propagates angle schedules for one instance and one cost kind.
 
@@ -118,17 +76,24 @@ class CircuitSimulator:
     the state in the cost eigenbasis V (V = identity for the classical
     cost): each layer multiplies c by exp(-i gamma eigenvalue), then applies
     the mixer as B^T (mixer phase * B c) with the real transform B = W V,
-    W the Hadamard transform. The classical cost above 2^FUSED_MAX_SPINS
-    amplitudes applies apply_mixer to c instead. The real matrices act on
-    the state's real and imaginary parts as one two-column product per row.
+    W the Hadamard transform. The real matrices act on the state's real and
+    imaginary parts as one two-column product per row.
+
+    The classical cost above 2^FUSED_MAX_SPINS amplitudes takes the block
+    step instead. Per spin exp(-i beta X) = P (cos beta Z + sin beta X) P
+    with P = diag(1, -i), so with Q = diag(i^popcount(x)) the mixer is
+    conj(Q) A conj(Q), A = (cos beta Z + sin beta X)^(x)m on m carried bits.
+    The step carries phi = Q c as real and imaginary planes, on which A
+    acts as real blocks of at most _BLOCK_SPINS spins; the conj(Q) of
+    consecutive layers meet as (-1)^popcount(x), which joins the cost phase.
 
     When every field is zero, |+>, H_X and the cost operator commute with
     the global flip, so the state never leaves the even sector. The
     simulator then carries u = sqrt(2) psi[:2^(n-1)] in the basis
     e_x = (|x> + |~x>)/sqrt(2): V diagonalizes the cost operator's block on
-    that sector, W keeps the even-parity Hadamard rows, and the block
-    mixer acts on the low n - 1 spins by apply_mixer's dense blocks and on
-    the top spin as u -> cos(beta) u - i sin(beta) reversed(u).
+    that sector, W keeps the even-parity Hadamard rows, and the block step
+    acts on the low n - 1 spins by the blocks and on the top spin as
+    u -> cos(beta) u - i sin(beta) reversed(u) (see _top_spin_signs).
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):
@@ -153,7 +118,16 @@ class CircuitSimulator:
             self._b = w if self._eig is None else w @ self._eig.eigenvectors
             self._mix_levels = _levels(mixer_eigs)
         else:
-            self._mixer = _apply_even_mixer if self.sector else apply_mixer
+            m = width.bit_length() - 1  # carried bits
+            popcount = np.bitwise_count(np.arange(width)).astype(int)
+            self._q = np.array([1, 1j, -1, -1j])[popcount % 4]  # Q = diag(i^popcount)
+            self._c0 = self._c0 * self._q
+            # odd popcounts take the negated phases, after the distinct levels
+            levels, index = self._cost_levels
+            self._cost_levels = levels, index + levels.size * (popcount & 1)
+            self._groups = _spin_groups(m)
+            if self.sector:
+                self._top = _top_spin_signs(m)
 
     @property
     def eig(self) -> EigenDecomposition | None:
@@ -184,10 +158,26 @@ class CircuitSimulator:
         c = _complex(x)
         c[...] = self._c0
         if self._b is None:
-            # Phases per layer: a p x 2^n table would dominate the memory.
-            for g, beta in zip(gammas, betas):
-                c = self._mixer(_phases(g, *self._cost_levels) * c, beta)
-            return c
+            # The block step carries phi = Q c as planes z (..., 2, width).
+            z = np.stack((c.real, c.imag), -2)
+            w, ph = np.empty_like(z), np.empty_like(c)
+            # The whole schedule's blocks: p K 4^k reals per group of k spins.
+            blocks = [_real_blocks(k, betas) for k in self._groups]
+            cos_b, sin_b = np.cos(betas)[..., None, None], np.sin(betas)[..., None, None]
+            levels, index = self._cost_levels
+            for layer, g in enumerate(gammas):
+                # Phases per layer: a p x width table would dominate the memory.
+                lp = np.exp(np.multiply.outer(g, levels))
+                np.take(np.concatenate((lp, -lp), -1), index, -1, ph, "clip")
+                # one complex product is faster than four on the planes
+                c.real, c.imag = z[..., 0, :], z[..., 1, :]
+                c *= ph
+                z[..., 0, :], z[..., 1, :] = c.real, c.imag
+                z, w = _apply_blocks(z, w, [a[layer] for a in blocks])
+                if self.sector:
+                    _top_spin_step(z, w, *self._top, cos_b[layer], sin_b[layer])
+            c.real, c.imag = z[..., 0, :], z[..., 1, :]
+            return c * self._q.conj()
         # Each call below writes its third argument (out, by position: the
         # faster call). No product is taken in place: a complex product of
         # length 1 rounds differently in place, which would part a batched
@@ -226,20 +216,57 @@ class CircuitSimulator:
         return np.abs(self.run_angles(*schedule)) ** 2
 
 
-def _apply_even_mixer(u: np.ndarray, beta) -> np.ndarray:
-    """exp(-i beta sum_i sigma_x^i) on the even-sector coefficients u
-    (or each row of a stack of them, with one angle each).
+def _spin_groups(m: int) -> list[int]:
+    """Near-equal groups of at most _BLOCK_SPINS of m bits, lowest first (13 -> 5, 4, 4)."""
+    return [g.size for g in np.array_split(np.arange(m), -(-m // _BLOCK_SPINS))]
 
-    The low spins act on u as on a state of one spin fewer; flipping the
-    top spin maps e_x to e_{x ^ (len(u) - 1)}, which reverses u. That step
-    is cos(beta) out - i sin(beta) reversed(out), taken in two buffers: the
-    reversed read goes to a new array, never to the one it reads.
-    """
-    out = apply_mixer(u, beta)
-    beta = np.asarray(beta, dtype=float)[..., None]
-    flipped = np.multiply(1j * np.sin(beta), out[..., ::-1])
-    np.multiply(np.cos(beta), out, out=out)
-    return np.subtract(out, flipped, out=flipped)
+
+def _real_blocks(k: int, betas) -> np.ndarray:
+    """(cos(beta) Z + sin(beta) X)^(x)k for each angle, shape (..., 2^k, 2^k):
+    entry (i, j) is cos^(k - d) sin^d (-1)^popcount(i & j), d = popcount(i ^ j).
+    Real, symmetric and its own inverse; P A P, P = diag((-i)^popcount), is
+    exp(-i beta sum sigma_x) on the k spins."""
+    d = np.arange(k + 1)
+    w = np.cos(betas)[..., None] ** (k - d) * np.sin(betas)[..., None] ** d
+    i = np.arange(1 << k)
+    index = np.bitwise_count(i[:, None] ^ i) + (k + 1) * (np.bitwise_count(i[:, None] & i) & 1)
+    # take, unlike fancy indexing on the last axis, gives contiguous blocks
+    return np.concatenate((w, -w), -1).take(index, axis=-1)
+
+
+def _apply_blocks(x: np.ndarray, y: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric blocks on planes x (..., 2, 2^m), one per spin group from
+    the lowest bits up and one product per row; x and y take turns as
+    output. Returns (result, the other buffer)."""
+    lead = x.shape[:-2]
+    below = 0  # bits under the current group
+    for a in blocks:
+        size = a.shape[-1]
+        if below == 0:
+            np.matmul(x.reshape(*lead, -1, size), a, y.reshape(*lead, -1, size))
+        else:
+            shape = (*lead, -1, size, 1 << below)
+            np.matmul(a[..., None, :, :], x.reshape(shape), y.reshape(shape))
+        below += size.bit_length() - 1
+        x, y = y, x
+    return x, y
+
+
+def _top_spin_signs(m: int) -> tuple[slice, np.ndarray]:
+    """Plane order and (2, 2^m) signs of the top-spin step in the rotated frame,
+    phi -> cos(beta) phi + (-i)^(m+1) sin(beta) (-1)^popcount(x) reversed(phi):
+    (-i)^(m+1) is +-1 for odd m, and +-i, a signed swap of the planes, for even m."""
+    swap = (-1) ** (m + 1)
+    s = np.where(np.bitwise_count(np.arange(1 << m)) & 1, -1.0, 1.0) * (-1) ** ((m + 1) // 2)
+    return slice(None, None, swap), np.stack((s, swap * s))
+
+
+def _top_spin_step(x, y, planes, signs, cos_b, sin_b) -> None:
+    """The top-spin step on planes x; y is scratch (the reversed read must not alias it)."""
+    np.multiply(x[..., planes, ::-1], signs, y)
+    y *= sin_b
+    x *= cos_b
+    x += y
 
 
 def _embed(u: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -288,5 +315,4 @@ __all__ = [
     "CostKind",
     "CircuitSimulator",
     "plus_state",
-    "apply_mixer",
 ]

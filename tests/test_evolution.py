@@ -12,17 +12,16 @@ from gibbs_qaoa.evolution import (
     FUSED_MAX_SPINS,
     CircuitSimulator,
     CostKind,
-    _apply_even_mixer,
     _embed,
     _hadamard_rows,
-    apply_mixer,
+    _real_blocks,
     plus_state,
 )
 from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
 from gibbs_qaoa.operators import build_sbo, densify
 from gibbs_qaoa.variational import QaoaProblem
 
-from dense_operators import densified_mixer
+from dense_operators import densified_mixer, rotated_mixer
 
 # objective of the unoptimized annealing ramp at p=10, frozen from an
 # independent dense matrix-product simulation
@@ -72,11 +71,11 @@ class TestPlusState:
 class TestMixer:
     def test_zero_angle_is_identity(self):
         psi = random_state(np.random.default_rng(0), 8)
-        assert np.allclose(apply_mixer(psi, 0.0), psi)
+        assert np.allclose(rotated_mixer(psi, 0.0), psi)
 
     def test_plus_state_is_eigenstate(self):
         psi = plus_state(1)
-        out = apply_mixer(psi, 0.9)
+        out = rotated_mixer(psi, 0.9)
         assert np.allclose(out, np.exp(-1j * 0.9) * psi)
         assert np.allclose(np.abs(out) ** 2, np.abs(psi) ** 2)
 
@@ -92,7 +91,7 @@ class TestMixer:
                     np.exp(-1j * beta * decomp.eigenvalues)
                     * (decomp.eigenvectors.T @ psi)
                 )
-                assert np.abs(apply_mixer(psi, beta) - expected).max() <= 1e-12
+                assert np.abs(rotated_mixer(psi, beta) - expected).max() <= 1e-12
 
     # n = 0..13 covers one to three spin blocks, even and uneven splits.
     @pytest.mark.parametrize("n", range(14))
@@ -101,7 +100,7 @@ class TestMixer:
         psi = random_state(rng, 1 << n)
         kept = psi.copy()
         for beta in (0.0, -0.3, 0.7, -1.9, np.pi / 2, 2.6):
-            out = apply_mixer(psi, beta)
+            out = rotated_mixer(psi, beta)
             assert out.shape == psi.shape
             assert np.abs(out - per_spin_mixer(psi, beta)).max() <= 1e-12
         assert np.array_equal(psi, kept)
@@ -112,10 +111,10 @@ class TestMixer:
         rng = np.random.default_rng(200 + n)
         psi = np.array([random_state(rng, 1 << n) for _ in range(3)])
         betas = np.array([-0.3, 0.7, 2.6])
-        out = apply_mixer(psi, betas)
+        out = rotated_mixer(psi, betas)
         assert out.shape == psi.shape
         for row, state, beta in zip(out, psi, betas):
-            assert np.array_equal(row, apply_mixer(state, beta))
+            assert np.array_equal(row, rotated_mixer(state, beta))
 
     # The top-spin step, against the formula it implements, bit for bit.
     @pytest.mark.parametrize("n", [1, 4, 9])
@@ -123,10 +122,27 @@ class TestMixer:
         rng = np.random.default_rng(300 + n)
         u = np.array([random_state(rng, 1 << n) for _ in range(2)])
         betas = np.array([0.4, -1.3])
-        out = _apply_even_mixer(u, betas)
+        out = rotated_mixer(u, betas, even=True)
         for row, state, beta in zip(out, u, betas):
-            low = apply_mixer(state, beta)
+            low = rotated_mixer(state, beta)
             assert np.array_equal(row, np.cos(beta) * low - 1j * np.sin(beta) * low[::-1])
+
+    # The block step's real block A = (cos beta Z + sin beta X)^(x)k is
+    # symmetric and its own inverse, and P A P with P = diag((-i)^popcount)
+    # is the complex block cos^(k-d) (-i sin)^d, d = popcount(i ^ j).
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_real_block_is_the_rotated_spin_mixer(self, k):
+        rng = np.random.default_rng(400 + k)
+        idx = np.arange(1 << k)
+        d = np.bitwise_count(idx[:, None] ^ idx)
+        p = np.diag(np.array([1, -1j, -1, 1j])[np.bitwise_count(idx) % 4])
+        for beta in rng.uniform(-np.pi, np.pi, 5):
+            a = _real_blocks(k, beta)
+            assert a.shape == (1 << k, 1 << k) and a.dtype == float
+            assert np.abs(a - a.T).max() <= 1e-15
+            assert np.abs(a @ a - np.eye(1 << k)).max() <= 1e-15
+            complex_block = np.cos(beta) ** (k - d) * (-1j * np.sin(beta)) ** d
+            assert np.abs(p @ a @ p - complex_block).max() <= 1e-15
 
     # W^T diag(d) W is the mixer Hamiltonian on the carried amplitudes: all
     # of them, or the even sector's basis e_x = (|x> + |~x>)/sqrt(2).
@@ -183,7 +199,7 @@ class TestRunCircuit:
             lam, v = sim.eig.eigenvalues, sim.eig.eigenvectors
         second = first
         for gamma, beta in zip(g[3:], b[3:]):
-            second = apply_mixer(v @ (np.exp(-1j * gamma * lam) * (v.T @ second)), beta)
+            second = per_spin_mixer(v @ (np.exp(-1j * gamma * lam) * (v.T @ second)), beta)
         assert np.abs(once - second).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(1.0)])
@@ -199,9 +215,17 @@ class TestRunCircuit:
         IsingInstance(n=4, couplings={(1, 2): 1.0, (2, 3): -1.0, (3, 4): 1.0},
                       fields=(0.5, 0.0, -0.3, 0.2)),
         # no fields, 2^8 carried amplitudes: the transform step on the sbo
-        # cost, the block step on the classical one
+        # cost, the block step on the classical one; 8 carried bits, so the
+        # top-spin step swaps the planes
         IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)}),
-    ], ids=["toy", "fields", "chain9"])
+        # the classical block step outside the sector (2^8 amplitudes)
+        IsingInstance(n=8, couplings={(i, i + 1): 1.0 for i in range(1, 8)},
+                      fields=tuple(0.3 * (-1) ** i for i in range(8))),
+        # 9 carried bits: a real top-spin coefficient
+        IsingInstance(n=10, couplings={(i, i + 1): 1.0 for i in range(1, 10)}),
+        # 11 carried bits: three spin groups
+        IsingInstance(n=12, couplings={(i, i + 1): -1.0 for i in range(1, 12)}),
+    ], ids=["toy", "fields", "chain9", "fields8", "chain10", "chain12"])
     def test_batch_rows_equal_single_runs(self, inst, kind):
         rng = np.random.default_rng(9)
         gammas, betas = rng.uniform(-1, 1, (2, 4, 3))  # p = 4, K = 3
@@ -243,7 +267,7 @@ class TestSboPhase:
             sim = CircuitSimulator(inst, kind)
             first = sim.run_angles([0.9], [0.4])
             both = sim.run_angles([0.9, 0.0], [0.4, -0.6])
-            assert np.abs(both - apply_mixer(first, -0.6)).max() <= 1e-12
+            assert np.abs(both - per_spin_mixer(first, -0.6)).max() <= 1e-12
 
     def test_kernel_state_probabilities_unchanged(self):
         # With no couplings or fields, |+> spans the kernel of H_S(T) (and
@@ -374,7 +398,7 @@ def test_even_sector_matches_dense_reference(n, data):
 
 
 def test_even_sector_three_blocks_matches_full_space():
-    # Field-free n = 12 carries 2^11 amplitudes, which apply_mixer splits
+    # Field-free n = 12 carries 2^11 amplitudes, which the block step splits
     # into three blocks (4, 4, 3); the reference propagates all 2^12
     # amplitudes with the per-spin mixer.
     n = 12
@@ -391,5 +415,27 @@ def test_even_sector_three_blocks_matches_full_space():
 
     sim = CircuitSimulator(inst, CostKind.classical())
     assert sim.sector and n - 1 > FUSED_MAX_SPINS
+    assert np.abs(sim.run_angles(gammas, betas) - psi).max() <= 1e-10
+    assert abs(sim.objective_angles(gammas, betas) - float(energies @ np.abs(psi) ** 2)) <= 1e-10
+
+
+def test_four_blocks_match_per_spin_reference():
+    # n = 16 with fields carries 2^16 amplitudes, which the block step
+    # splits into four groups (4, 4, 4, 4); the reference applies the
+    # per-spin mixer to the same amplitudes.
+    n = 16
+    rng = np.random.default_rng(16)
+    couplings = {pair: float(rng.choice([-1.0, 1.0]))
+                 for pair in itertools.combinations(range(1, n + 1), 2)}
+    inst = IsingInstance(n=n, couplings=couplings, fields=tuple(rng.uniform(-1, 1, n)))
+    gammas = rng.uniform(-1.5, 1.5, 3)
+    betas = rng.uniform(-1.5, 1.5, 3)
+    energies = energy_table(inst)
+    psi = plus_state(n)
+    for g, b in zip(gammas, betas):
+        psi = per_spin_mixer(np.exp(-1j * g * energies) * psi, b)
+
+    sim = CircuitSimulator(inst, CostKind.classical())
+    assert not sim.sector and sim._groups == [4, 4, 4, 4]
     assert np.abs(sim.run_angles(gammas, betas) - psi).max() <= 1e-10
     assert abs(sim.objective_angles(gammas, betas) - float(energies @ np.abs(psi) ** 2)) <= 1e-10
