@@ -37,6 +37,12 @@ FUSED_MAX_SPINS = 7
 # Widest spin group the block step treats as one dense block (32 x 32).
 _BLOCK_SPINS = 5
 
+# Bytes of the transform step's phase tables (cost and mixer, p K width
+# complex numbers each), tabulated for as many layers at a time as fit. The
+# toy's T = 0.5 battery (K = 48) at p = 100 takes 2.5 MB, one chunk; 1024
+# amplitudes at K = 48 take 1.6 MB per layer, ten layers a chunk.
+_PHASE_TABLE_BYTES = 1 << 24
+
 
 @dataclass(frozen=True)
 class CostKind:
@@ -178,12 +184,21 @@ class CircuitSimulator:
                     _top_spin_step(z, w, *self._top, cos_b[layer], sin_b[layer])
             c.real, c.imag = z[..., 0, :], z[..., 1, :]
             return c * self._q.conj()
+        y = np.empty_like(x)
+        # The two phase tables take 2 c.nbytes per layer.
+        chunk = max(1, _PHASE_TABLE_BYTES // (2 * c.nbytes))
+        for start in range(0, len(gammas), chunk):
+            self._transform_layers(x, y, gammas[start:start + chunk], betas[start:start + chunk])
+        return c
+
+    def _transform_layers(self, x, y, gammas, betas) -> None:
+        """The transform step's layers on the real pairs x, with y as scratch.
+        The phase tables of these layers live for this call only."""
         # Each call below writes its third argument (out, by position: the
         # faster call). No product is taken in place: a complex product of
         # length 1 rounds differently in place, which would part a batched
         # row from its solo run at one carried amplitude.
-        y = np.empty_like(x)
-        d = _complex(y)
+        c, d = _complex(x), _complex(y)
         b, bt = self._b, self._b.T
         cost_ph = _phases(gammas, *self._cost_levels)
         mix_ph = _phases(betas, *self._mix_levels)
@@ -192,7 +207,6 @@ class CircuitSimulator:
             np.matmul(b, y, x)
             np.multiply(c, mp, d)
             np.matmul(bt, y, x)
-        return c
 
     def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         """Final state vector in the computational basis; angles of shape

@@ -7,6 +7,11 @@ the cycle displacement when the standard extrapolation test favors it.
 Each search is written as a generator that yields the points it needs
 evaluated and receives their values, so that several starts can advance in
 lockstep and share one batched objective call per round.
+
+The line searches are scalar bookkeeping on Python floats: the values
+arrive as floats, and math.copysign, unlike np.copysign, returns one, so
+every abscissa stays a float. np.float64 arithmetic gives the same numbers
+several times slower.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ def _bracket(xa: float, xb: float):
         tmp1 = (xb - xa) * (fb - fc)
         tmp2 = (xb - xc) * (fb - fa)
         val = tmp2 - tmp1
-        denom = 2.0 * np.copysign(max(abs(val), _TINY), val)
+        denom = 2.0 * math.copysign(max(abs(val), _TINY), val)
         w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
         wlim = xb + _GROW_LIMIT * (xc - xb)
         if n > _MAX_EXPANSIONS:
@@ -152,11 +157,11 @@ def _brent(xa: float, xb: float, xc: float, fb: float):
                 d = p / q
                 u = x + d
                 if u - a < tol2 or b - u < tol2:
-                    d = np.copysign(tol1, xm - x)
+                    d = math.copysign(tol1, xm - x)
         else:
             e = b - x if x < xm else a - x
             d = _CGOLD * e
-        u = x + d if abs(d) >= tol1 else x + np.copysign(tol1, d)
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
         fu = yield u
         if fu <= fx:
             if u >= x:
@@ -302,8 +307,8 @@ def powell_minimize(func, x0, options: PowellOptions | None = None,
     results: list[OptResult] = [None] * len(searches)
     while pending:
         points = np.array(list(pending.values()))
-        for i, x, value in zip(list(pending), points, evaluate(points), strict=True):
-            value = float(value)
+        values = np.asarray(evaluate(points), dtype=float).tolist()  # Python floats
+        for i, x, value in zip(list(pending), points, values, strict=True):
             if not math.isfinite(value):
                 raise ObjectiveError(x, value)
             try:

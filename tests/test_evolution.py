@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gibbs_qaoa.eigensolver import eigh
 from gibbs_qaoa.evolution import (
+    _PHASE_TABLE_BYTES,
     FUSED_MAX_SPINS,
     CircuitSimulator,
     CostKind,
@@ -19,7 +21,7 @@ from gibbs_qaoa.evolution import (
 )
 from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
 from gibbs_qaoa.operators import build_sbo, densify
-from gibbs_qaoa.variational import QaoaProblem
+from gibbs_qaoa.variational import MAX_INIT_SCALE, QaoaProblem
 
 from dense_operators import densified_mixer, rotated_mixer
 
@@ -228,14 +230,21 @@ class TestRunCircuit:
     ], ids=["toy", "fields", "chain9", "fields8", "chain10", "chain12"])
     def test_batch_rows_equal_single_runs(self, inst, kind):
         rng = np.random.default_rng(9)
-        gammas, betas = rng.uniform(-1, 1, (2, 4, 3))  # p = 4, K = 3
+        schedules = [rng.uniform(-1, 1, (2, 4, 3))]  # p = 4, K = 3
+        if inst == toy_instance():
+            # the shape of the toy's linearized battery: p = 15, K = 48, cost
+            # angles at the largest start scale
+            gammas, betas = rng.uniform(-1, 1, (2, 15, 48))
+            schedules.append((MAX_INIT_SCALE * gammas, betas))
         sim = CircuitSimulator(inst, kind)
-        states = sim.run_angles(gammas, betas)
-        probs = sim.probabilities((gammas, betas))
-        assert states.shape == probs.shape == (3, inst.dim)
-        for k in range(3):
-            assert np.array_equal(states[k], sim.run_angles(gammas[:, k], betas[:, k]))
-            assert np.array_equal(probs[k], sim.probabilities((gammas[:, k], betas[:, k])))
+        for gammas, betas in schedules:
+            batch = gammas.shape[1]
+            states = sim.run_angles(gammas, betas)
+            probs = sim.probabilities((gammas, betas))
+            assert states.shape == probs.shape == (batch, inst.dim)
+            for k in range(batch):
+                assert np.array_equal(states[k], sim.run_angles(gammas[:, k], betas[:, k]))
+                assert np.array_equal(probs[k], sim.probabilities((gammas[:, k], betas[:, k])))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -302,6 +311,24 @@ class TestSboPhase:
         square = [a for a in held(sim) if a.shape == (width, width)]
         assert len(square) <= 2
         assert not any(np.iscomplexobj(a) for a in square)
+
+    def test_phase_tables_stay_within_their_byte_budget(self):
+        # 1024 amplitudes, K = 48, p = 25: tables for the whole schedule
+        # would take 39 MB; chunks of ten layers keep them under the budget.
+        inst = IsingInstance(n=10, couplings={(i, i + 1): 1.0 for i in range(1, 10)},
+                             fields=tuple(0.3 * (-1) ** i for i in range(10)))
+        sim = CircuitSimulator(inst, CostKind.sbo(1.0))
+        gammas, betas = np.random.default_rng(3).uniform(-1, 1, (2, 25, 48))
+        tracemalloc.start()
+        try:
+            states = sim.run_angles(gammas, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state_buffers = 2 * states.nbytes  # the pairs x and y of _run
+        assert peak <= _PHASE_TABLE_BYTES + state_buffers
+        for k in (0, 23, 47):
+            assert np.array_equal(states[k], sim.run_angles(gammas[:, k], betas[:, k]))
 
 
 class TestCostKind:

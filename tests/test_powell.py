@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ class TestLineSearchPieces:
         x, fx = drive(_brent(xa, xb, xc, fb), f)
         assert x == pytest.approx(np.pi, abs=1e-6)
         assert fx == pytest.approx(-1.0, abs=1e-12)
+
+    def test_abscissae_are_python_floats(self):
+        # np.copysign would hand back np.float64 steps, and every later
+        # step of the search would run on numpy scalars
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.cos(x)
+
+        xa, xb, xc, fa, fb, fc = drive(_bracket(1.0, 1.1), f)
+        drive(_brent(xa, xb, xc, fb), f)
+        assert len(seen) > 10
+        assert all(type(x) is float for x in seen)
 
 
 class TestPowell:
