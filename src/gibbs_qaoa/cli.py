@@ -65,7 +65,7 @@ def _resolve_instance(args) -> tuple[IsingInstance, str]:
 
 def _add_optimizer_flags(p: _Parser) -> None:
     p.add_argument("--max-evaluations", type=int, default=PowellOptions.max_evaluations,
-                   help="evaluation cap per start")
+                   help="evaluation cap per start, checked between line searches")
     p.add_argument("--budget-s", type=float,
                    help="wall-clock safety net per point in seconds "
                         "(default: none; evaluation caps bound each point)")

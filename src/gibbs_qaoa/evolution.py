@@ -27,11 +27,11 @@ from .operators import build_sbo, sbo_eigendecomposition
 # The classical cost takes the transform mixer step up to 2^FUSED_MAX_SPINS
 # carried amplitudes (this many spins, one more in the even sector) and the
 # real block step above; the sbo cost always takes the transform. Measured
-# at p = 100, one BLAS thread, in us per layer (transform / blocks, with
-# fields): one schedule 13 / 30 at 128 amplitudes and 26 / 17 at 256; four
-# schedules 39 / 41 at 128 and 108 / 33 at 256. The benchmark runs one
-# shape on each side: the toy's 16 amplitudes on the transform and 8192
-# (n = 14, no fields) in blocks.
+# at p = 100, one BLAS thread, calls interleaved in one process, in us per
+# layer (transform / blocks, with fields): one schedule 13 / 17 at 128
+# amplitudes and 31 / 21 at 256; four schedules 44 / 37 at 128 and 132 / 55
+# at 256. The benchmark runs one shape on each side: the toy's 16 amplitudes
+# on the transform and 8192 (n = 14, no fields) in blocks.
 FUSED_MAX_SPINS = 7
 
 # Widest spin group the block step treats as one dense block (32 x 32).
@@ -86,12 +86,12 @@ class CircuitSimulator:
     imaginary parts as one two-column product per row.
 
     The classical cost above 2^FUSED_MAX_SPINS amplitudes takes the block
-    step instead. Per spin exp(-i beta X) = P (cos beta Z + sin beta X) P
-    with P = diag(1, -i), so with Q = diag(i^popcount(x)) the mixer is
-    conj(Q) A conj(Q), A = (cos beta Z + sin beta X)^(x)m on m carried bits.
-    The step carries phi = Q c as real and imaginary planes, on which A
-    acts as real blocks of at most _BLOCK_SPINS spins; the conj(Q) of
-    consecutive layers meet as (-1)^popcount(x), which joins the cost phase.
+    step instead. Per spin exp(-i beta X) = U R(beta) U^H with U = diag(1, i)
+    and the rotation R(beta) = [[cos beta, sin beta], [-sin beta, cos beta]],
+    so with U = diag(i^popcount(x)) the mixer is U R(beta)^(x)m U^H on m
+    carried bits. The step carries phi = U^H c as real and imaginary planes,
+    on which R(beta)^(x)m acts as real blocks of at most _BLOCK_SPINS spins;
+    U^H of one layer cancels U of the last, and the cost phase commutes with U.
 
     When every field is zero, |+>, H_X and the cost operator commute with
     the global flip, so the state never leaves the even sector. The
@@ -125,12 +125,8 @@ class CircuitSimulator:
             self._mix_levels = _levels(mixer_eigs)
         else:
             m = width.bit_length() - 1  # carried bits
-            popcount = np.bitwise_count(np.arange(width)).astype(int)
-            self._q = np.array([1, 1j, -1, -1j])[popcount % 4]  # Q = diag(i^popcount)
-            self._c0 = self._c0 * self._q
-            # odd popcounts take the negated phases, after the distinct levels
-            levels, index = self._cost_levels
-            self._cost_levels = levels, index + levels.size * (popcount & 1)
+            self._u = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(width)) % 4]
+            self._c0 = self._c0 * self._u.conj()
             self._groups = _spin_groups(m)
             if self.sector:
                 self._top = _top_spin_signs(m)
@@ -164,26 +160,23 @@ class CircuitSimulator:
         c = _complex(x)
         c[...] = self._c0
         if self._b is None:
-            # The block step carries phi = Q c as planes z (..., 2, width).
+            # The block step carries phi = U^H c as planes z (..., 2, width).
             z = np.stack((c.real, c.imag), -2)
-            w, ph = np.empty_like(z), np.empty_like(c)
-            # The whole schedule's blocks: p K 4^k reals per group of k spins.
-            blocks = [_real_blocks(k, betas) for k in self._groups]
+            w = np.empty_like(z)
+            # p K 4^k reals per group of k spins; the lowest takes R^T = R(-beta)
+            blocks = [_real_blocks(k, betas if i else -betas) for i, k in enumerate(self._groups)]
             cos_b, sin_b = np.cos(betas)[..., None, None], np.sin(betas)[..., None, None]
-            levels, index = self._cost_levels
             for layer, g in enumerate(gammas):
-                # Phases per layer: a p x width table would dominate the memory.
-                lp = np.exp(np.multiply.outer(g, levels))
-                np.take(np.concatenate((lp, -lp), -1), index, -1, ph, "clip")
                 # one complex product is faster than four on the planes
                 c.real, c.imag = z[..., 0, :], z[..., 1, :]
-                c *= ph
+                # phases per layer: a p x width table would be slower to read
+                c *= _phases(g, *self._cost_levels)
                 z[..., 0, :], z[..., 1, :] = c.real, c.imag
                 z, w = _apply_blocks(z, w, [a[layer] for a in blocks])
                 if self.sector:
                     _top_spin_step(z, w, *self._top, cos_b[layer], sin_b[layer])
             c.real, c.imag = z[..., 0, :], z[..., 1, :]
-            return c * self._q.conj()
+            return c * self._u
         y = np.empty_like(x)
         # The two phase tables take 2 c.nbytes per layer.
         chunk = max(1, _PHASE_TABLE_BYTES // (2 * c.nbytes))
@@ -236,22 +229,22 @@ def _spin_groups(m: int) -> list[int]:
 
 
 def _real_blocks(k: int, betas) -> np.ndarray:
-    """(cos(beta) Z + sin(beta) X)^(x)k for each angle, shape (..., 2^k, 2^k):
-    entry (i, j) is cos^(k - d) sin^d (-1)^popcount(i & j), d = popcount(i ^ j).
-    Real, symmetric and its own inverse; P A P, P = diag((-i)^popcount), is
+    """The rotation R(beta)^(x)k for each angle, shape (..., 2^k, 2^k): entry
+    (i, j) is cos^(k - d) sin^d (-1)^popcount(i & ~j), d = popcount(i ^ j).
+    Its transpose is R(-beta)^(x)k; U R U^H, U = diag(i^popcount), is
     exp(-i beta sum sigma_x) on the k spins."""
     d = np.arange(k + 1)
     w = np.cos(betas)[..., None] ** (k - d) * np.sin(betas)[..., None] ** d
     i = np.arange(1 << k)
-    index = np.bitwise_count(i[:, None] ^ i) + (k + 1) * (np.bitwise_count(i[:, None] & i) & 1)
+    index = np.bitwise_count(i[:, None] ^ i) + (k + 1) * (np.bitwise_count(i[:, None] & ~i) & 1)
     # take, unlike fancy indexing on the last axis, gives contiguous blocks
     return np.concatenate((w, -w), -1).take(index, axis=-1)
 
 
 def _apply_blocks(x: np.ndarray, y: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric blocks on planes x (..., 2, 2^m), one per spin group from
-    the lowest bits up and one product per row; x and y take turns as
-    output. Returns (result, the other buffer)."""
+    """The blocks on planes x (..., 2, 2^m), one per spin group from the lowest
+    bits up and one product per row, the lowest as its transpose (rows times
+    block); x and y take turns as output. Returns (result, the other buffer)."""
     lead = x.shape[:-2]
     below = 0  # bits under the current group
     for a in blocks:
@@ -267,11 +260,14 @@ def _apply_blocks(x: np.ndarray, y: np.ndarray, blocks) -> tuple[np.ndarray, np.
 
 
 def _top_spin_signs(m: int) -> tuple[slice, np.ndarray]:
-    """Plane order and (2, 2^m) signs of the top-spin step in the rotated frame,
-    phi -> cos(beta) phi + (-i)^(m+1) sin(beta) (-1)^popcount(x) reversed(phi):
-    (-i)^(m+1) is +-1 for odd m, and +-i, a signed swap of the planes, for even m."""
+    """Plane order and (2, 2^m) signs of the top-spin step u -> cos(beta) u
+    - i sin(beta) reversed(u) in the rotated frame phi = (-i)^popcount(x) u.
+    reversed reads the m-bit complement x~, and u(x~) = i^(m - popcount(x)) phi(x~),
+    so phi -> cos(beta) phi - i^(m+1) sin(beta) (-1)^popcount(x) reversed(phi),
+    whose coefficient -(i^(m+1)) is (-1)^(m//2) for odd m, and -i (-1)^(m//2),
+    a signed swap of the planes, for even m."""
     swap = (-1) ** (m + 1)
-    s = np.where(np.bitwise_count(np.arange(1 << m)) & 1, -1.0, 1.0) * (-1) ** ((m + 1) // 2)
+    s = np.where(np.bitwise_count(np.arange(1 << m)) & 1, -1.0, 1.0) * (-1) ** (m // 2)
     return slice(None, None, swap), np.stack((s, swap * s))
 
 
@@ -322,7 +318,7 @@ def _levels(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _phases(angles: np.ndarray, levels: np.ndarray, index: np.ndarray) -> np.ndarray:
     """exp(-i angle eigenvalue) for each angle, over the eigenvalues in order."""
-    return np.exp(np.multiply.outer(angles, levels)).take(index, axis=-1)
+    return np.exp(np.multiply.outer(angles, levels)).take(index, axis=-1, mode="clip")
 
 
 __all__ = [

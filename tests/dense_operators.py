@@ -19,24 +19,26 @@ def densified_mixer(n: int) -> np.ndarray:
 
 def rotated_mixer(psi, beta, even=False):
     """exp(-i beta sum_i sigma_x^i) by the simulator's block step, as
-    Qbar . blocks . Q with Q = diag(i^popcount(x)).
+    U . blocks . U^H with U = diag(i^popcount(x)).
 
-    The state enters the rotated frame phi = Q psi and takes the frame's
-    parity sign (-1)^popcount(x), which the simulator joins to the cost
-    phase; the real blocks (cos beta Z + sin beta X)^(x)n act on its real and
-    imaginary planes, and Qbar takes it back. Per spin this is
-    P (cos beta Z + sin beta X) P with P = diag(1, -i). With `even`, psi
+    The state enters the rotated frame phi = U^H psi, the real blocks
+    R(beta)^(x)n act on its real and imaginary planes, and U takes it back.
+    Per spin this is U R(beta) U^H with U = diag(1, i) and the rotation
+    R(beta) = [[cos beta, sin beta], [-sin beta, cos beta]]. With `even`, psi
     holds even-sector coefficients and the top-spin step follows the
     blocks. psi may be a stack of states (..., 2^n) with one angle each in
     beta (shape ...).
     """
     n = psi.shape[-1].bit_length() - 1
     q = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << n)) % 4]
-    phi = psi * q.conj()  # Q psi times (-1)^popcount(x)
+    phi = psi * q.conj()  # (-i)^popcount(x) psi
     x = np.stack((phi.real, phi.imag), -2)
     y = np.empty_like(x)
-    x, y = _apply_blocks(x, y, [_real_blocks(k, beta) for k in (_spin_groups(n) if n else [])])
+    # the lowest group multiplies rows by its block, so it takes R(-beta) = R(beta)^T
+    groups = _spin_groups(n) if n else []
+    blocks = [_real_blocks(k, beta if i else -beta) for i, k in enumerate(groups)]
+    x, y = _apply_blocks(x, y, blocks)
     if even:
         beta = np.asarray(beta, dtype=float)[..., None, None]
         _top_spin_step(x, y, *_top_spin_signs(n), np.cos(beta), np.sin(beta))
-    return (x[..., 0, :] + 1j * x[..., 1, :]) * q.conj()
+    return (x[..., 0, :] + 1j * x[..., 1, :]) * q
