@@ -12,6 +12,12 @@ multiply and the objective is a dot product with the eigenvalues. The mixer
 phase is diagonal in the Hadamard basis, or real spin blocks in a rotated
 frame (see CircuitSimulator). Instances without fields carry only the even
 global-flip sector, half the amplitudes.
+
+Each phase is exp(-i angle level) over the operator's distinct eigenvalues,
+tabulated a chunk of layers at a time. A schedule of angle arrays takes one
+exponential per layer, row and level; a Ramp, the angles first + k step of
+a linearized schedule, takes two per row and level, and the later layers
+are products of those (see _level_table).
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ FUSED_MAX_SPINS = 7
 # Widest spin group the block step treats as one dense block (32 x 32).
 _BLOCK_SPINS = 5
 
-# Bytes of the transform step's phase tables (cost and mixer, p K width
-# complex numbers each), tabulated for as many layers at a time as fit. The
-# toy's T = 0.5 battery (K = 48) at p = 100 takes 2.5 MB, one chunk; 1024
-# amplitudes at K = 48 take 1.6 MB per layer, ten layers a chunk.
+# Bytes of the phase tables (cost and mixer, p K width complex numbers each
+# once gathered), tabulated for as many layers at a time as fit (see _run).
+# The toy's T = 0.5 battery (K = 48) at p = 100 takes 2.5 MB, one chunk; at
+# 1024 amplitudes and K = 48 a table takes 0.8 MB per layer, eight layers a chunk.
 _PHASE_TABLE_BYTES = 1 << 24
 
 
@@ -65,6 +71,21 @@ class CostKind:
         return cls(float(temperature))
 
 
+@dataclass(frozen=True)
+class Ramp:
+    """Angles on a line: layer k = 0 .. layers - 1 takes first + k step.
+    Arrays `first` and `step` of shape (K,) give K schedules."""
+
+    first: np.ndarray
+    step: np.ndarray
+    layers: int
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(layers, K), as for an angle array."""
+        return (self.layers, *np.shape(self.first))
+
+
 def plus_state(n: int) -> np.ndarray:
     """Uniform real superposition |+>^n."""
     if n < 1:
@@ -74,7 +95,8 @@ def plus_state(n: int) -> np.ndarray:
 
 
 class CircuitSimulator:
-    """Propagates angle schedules for one instance and one cost kind.
+    """Propagates schedules, angle arrays or Ramps, for one instance and one
+    cost kind.
 
     The cost operator (and, for the structured cost, its eigendecomposition)
     is built once in the constructor and shared across every run, which is
@@ -124,6 +146,8 @@ class CircuitSimulator:
             self._b = w if self._eig is None else w @ self._eig.eigenvectors
             self._mix_levels = _levels(mixer_eigs)
         else:
+            # the block step reads cos beta and sin beta off exp(-i beta)
+            self._mix_levels = np.array([-1j]), None
             m = width.bit_length() - 1  # carried bits
             self._u = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(width)) % 4]
             self._c0 = self._c0 * self._u.conj()
@@ -147,63 +171,78 @@ class CircuitSimulator:
     def _run(self, gammas, betas) -> np.ndarray:
         """Final state of a schedule, as coefficients in the cost eigenbasis.
 
-        Angles of shape (p, K), layers on axis 0, run K schedules together
-        and give a (K, width) array. Each row is bit-identical to its
-        schedule run alone: every product is taken per row, as a matrix
-        times one row (a matrix-matrix product would round differently).
+        Angles of shape (p, K), layers on axis 0, or Ramps with (K,) rows,
+        run K schedules together and give a (K, width) array. Each row is
+        bit-identical to its schedule run alone: every product is taken per
+        row, as a matrix times one row (a matrix-matrix product would round
+        differently). The phase tables come from _level_table, a chunk of
+        layers at a time.
         """
-        gammas, betas = np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)
-        if gammas.shape != betas.shape:
+        gammas, betas = _angles(gammas), _angles(betas)
+        shape = gammas.shape
+        if shape != betas.shape:
             raise ValueError("schedule gamma/beta lengths differ")
         # One start row per schedule, as real pairs x and their complex view c.
-        x = np.empty((*gammas.shape[1:], self._c0.size, 2))
+        x = np.empty((*shape[1:], self._c0.size, 2))
         c = _complex(x)
         c[...] = self._c0
-        if self._b is None:
-            # The block step carries phi = U^H c as planes z (..., 2, width).
-            z = np.stack((c.real, c.imag), -2)
-            w = np.empty_like(z)
-            # p K 4^k reals per group of k spins; the lowest takes R^T = R(-beta)
-            blocks = [_real_blocks(k, betas if i else -betas) for i, k in enumerate(self._groups)]
-            cos_b, sin_b = np.cos(betas)[..., None, None], np.sin(betas)[..., None, None]
-            for layer, g in enumerate(gammas):
+        # Per layer the phase tables take at most 2 c.nbytes: the cost table
+        # beside its level table, then beside the mixer table. A Ramp also
+        # holds up to four level rows: its first layer, omega and two powers.
+        fit = (_PHASE_TABLE_BYTES // c.nbytes - 4) // 2
+        chunk = 1 << max(0, fit.bit_length() - 1)
+        if self._b is not None:
+            y = np.empty_like(x)
+            for start in range(0, shape[0], chunk):
+                self._transform_layers(x, y, gammas, betas, start, start + chunk)
+            return c
+        # The block step carries phi = U^H c as planes z (..., 2, width).
+        z = np.stack((c.real, c.imag), -2)
+        w = np.empty_like(z)
+        for start in range(0, shape[0], chunk):
+            cost = _level_table(gammas, self._cost_levels[0], start, start + chunk)
+            # exp(-i beta) = cos beta - i sin beta, shape (layers, ..., 1)
+            mix = _level_table(betas, self._mix_levels[0], start, start + chunk)[..., 0]
+            cos_b, sin_b = mix.real, -mix.imag
+            # layers K 4^k reals per group of k spins; the lowest takes R^T = R(-beta)
+            blocks = [_real_blocks(k, cos_b, sin_b if i else -sin_b)
+                      for i, k in enumerate(self._groups)]
+            for layer, levels in enumerate(cost):
                 # one complex product is faster than four on the planes
                 c.real, c.imag = z[..., 0, :], z[..., 1, :]
-                # phases per layer: a p x width table would be slower to read
-                c *= _phases(g, *self._cost_levels)
+                # gathered per layer: a layers x width table would be slower to read
+                c *= levels.take(self._cost_levels[1], axis=-1, mode="clip")
                 z[..., 0, :], z[..., 1, :] = c.real, c.imag
                 z, w = _apply_blocks(z, w, [a[layer] for a in blocks])
                 if self.sector:
-                    _top_spin_step(z, w, *self._top, cos_b[layer], sin_b[layer])
-            c.real, c.imag = z[..., 0, :], z[..., 1, :]
-            return c * self._u
-        y = np.empty_like(x)
-        # The two phase tables take 2 c.nbytes per layer.
-        chunk = max(1, _PHASE_TABLE_BYTES // (2 * c.nbytes))
-        for start in range(0, len(gammas), chunk):
-            self._transform_layers(x, y, gammas[start:start + chunk], betas[start:start + chunk])
-        return c
+                    _top_spin_step(z, w, *self._top, cos_b[layer, ..., None, None],
+                                   sin_b[layer, ..., None, None])
+        c.real, c.imag = z[..., 0, :], z[..., 1, :]
+        return c * self._u
 
-    def _transform_layers(self, x, y, gammas, betas) -> None:
-        """The transform step's layers on the real pairs x, with y as scratch.
-        The phase tables of these layers live for this call only."""
+    def _transform_layers(self, x, y, gammas, betas, start, stop) -> None:
+        """Layers start .. stop - 1 of the transform step on the real pairs x,
+        with y as scratch. The phase tables of these layers live for this call
+        only."""
         # Each call below writes its third argument (out, by position: the
         # faster call). No product is taken in place: a complex product of
         # length 1 rounds differently in place, which would part a batched
         # row from its solo run at one carried amplitude.
         c, d = _complex(x), _complex(y)
         b, bt = self._b, self._b.T
-        cost_ph = _phases(gammas, *self._cost_levels)
-        mix_ph = _phases(betas, *self._mix_levels)
+        levels, index = self._cost_levels
+        cost_ph = _level_table(gammas, levels, start, stop).take(index, axis=-1, mode="clip")
+        levels, index = self._mix_levels
+        mix_ph = _level_table(betas, levels, start, stop).take(index, axis=-1, mode="clip")
         for cp, mp in zip(cost_ph, mix_ph):
             np.multiply(c, cp, d)
             np.matmul(b, y, x)
             np.multiply(c, mp, d)
             np.matmul(bt, y, x)
 
-    def run_angles(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    def run_angles(self, gammas, betas) -> np.ndarray:
         """Final state vector in the computational basis; angles of shape
-        (p, K) give the K final states as rows."""
+        (p, K), or Ramps of K rows, give the K final states as rows."""
         u = self._run(gammas, betas)
         if self._eig is not None:
             u = _complex(self._eig.eigenvectors @ _pairs(u))
@@ -214,12 +253,20 @@ class CircuitSimulator:
 
         Angles of shape (p, K) give an array of the K schedules' values.
         """
-        c = self._run(gammas, betas)
+        return self._energy(self._run(gammas, betas))
+
+    def objective_ramps(self, gammas: Ramp, betas: Ramp):
+        """objective_angles of schedules on lines: the same values to
+        rounding, from two exponentials per row and level (see _level_table)."""
+        return self._energy(self._run(gammas, betas))
+
+    def _energy(self, c: np.ndarray):
         # a dot product per row: a matrix-vector product would round differently
         return np.vecdot((c * c.conj()).real, self.cost_eigs)
 
-    def probabilities(self, schedule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Measurement distribution of the final state of (gammas, betas)."""
+    def probabilities(self, schedule: tuple) -> np.ndarray:
+        """Measurement distribution of the final state of (gammas, betas),
+        angle arrays or Ramps."""
         return np.abs(self.run_angles(*schedule)) ** 2
 
 
@@ -228,13 +275,13 @@ def _spin_groups(m: int) -> list[int]:
     return [g.size for g in np.array_split(np.arange(m), -(-m // _BLOCK_SPINS))]
 
 
-def _real_blocks(k: int, betas) -> np.ndarray:
-    """The rotation R(beta)^(x)k for each angle, shape (..., 2^k, 2^k): entry
-    (i, j) is cos^(k - d) sin^d (-1)^popcount(i & ~j), d = popcount(i ^ j).
-    Its transpose is R(-beta)^(x)k; U R U^H, U = diag(i^popcount), is
-    exp(-i beta sum sigma_x) on the k spins."""
+def _real_blocks(k: int, cos_b, sin_b) -> np.ndarray:
+    """The rotation R(beta)^(x)k for each (cos beta, sin beta), shape (..., 2^k,
+    2^k): entry (i, j) is cos^(k - d) sin^d (-1)^popcount(i & ~j), d =
+    popcount(i ^ j). Its transpose is R(-beta)^(x)k; U R U^H, U =
+    diag(i^popcount), is exp(-i beta sum sigma_x) on the k spins."""
     d = np.arange(k + 1)
-    w = np.cos(betas)[..., None] ** (k - d) * np.sin(betas)[..., None] ** d
+    w = cos_b[..., None] ** (k - d) * sin_b[..., None] ** d
     i = np.arange(1 << k)
     index = np.bitwise_count(i[:, None] ^ i) + (k + 1) * (np.bitwise_count(i[:, None] & ~i) & 1)
     # take, unlike fancy indexing on the last axis, gives contiguous blocks
@@ -316,13 +363,49 @@ def _levels(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -1j * distinct, index
 
 
-def _phases(angles: np.ndarray, levels: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """exp(-i angle eigenvalue) for each angle, over the eigenvalues in order."""
-    return np.exp(np.multiply.outer(angles, levels)).take(index, axis=-1, mode="clip")
+def _angles(angles):
+    """A Ramp as given, or the angles as a float array."""
+    return angles if isinstance(angles, Ramp) else np.asarray(angles, dtype=float)
+
+
+def _level_table(angles, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """exp(angle level) over the levels for layers start .. stop - 1:
+    shape (layers, ..., len(levels)).
+
+    An angle array takes one exp per entry. A Ramp takes one exp for its
+    first layer and one for its step, omega = exp(step level): layer k is
+    the first layer times omega^(2^j) for each set bit j of k, lowest first.
+    The table fills its layers by doubling (layers s .. 2s - 1 are layers
+    0 .. s - 1 times omega^s), then takes the factors of start's bits; start
+    must be a multiple of a power of two at least stop - start. No value
+    depends on how the layers are split, so a batched row, split more
+    finely, keeps the bits of its solo run.
+    """
+    if not isinstance(angles, Ramp):
+        return np.exp(np.multiply.outer(angles[start:stop], levels))
+    stop = min(stop, angles.layers)
+    # exp(first level) and omega^(2^j), each with the table's leading axis: a
+    # product of one element rounds differently when an operand is
+    # broadcast, which would part a batched row from its solo run.
+    ends = np.exp(np.multiply.outer((angles.first, angles.step), levels))
+    table = np.empty((stop - start, *ends.shape[1:]), complex)
+    table[:1] = ends[:1]
+    power, bits = ends[1:], (stop - 1).bit_length()
+    for j in range(bits):
+        done = 1 << j
+        if done < len(table):
+            size = min(done, len(table) - done)
+            np.multiply(table[:size], power, table[done:done + size])
+        elif start & done:
+            table = table * power
+        if j + 1 < bits:
+            power = power * power
+    return table
 
 
 __all__ = [
     "CostKind",
     "CircuitSimulator",
+    "Ramp",
     "plus_state",
 ]

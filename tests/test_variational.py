@@ -115,8 +115,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             problem.objective(np.zeros(5))
         lin = QaoaProblem(toy_instance(), CostKind.classical(), "linearized", 3)
-        with pytest.raises(ValueError):
-            lin.objective(np.zeros(6))
+        for params in (np.zeros(6), np.zeros((2, 3)), np.zeros((2, 5)), 0.0):
+            with pytest.raises(ValueError, match="4 parameters"):
+                lin.objective(params)
+            with pytest.raises(ValueError, match="4 parameters"):
+                lin.probabilities(params)
 
     def test_classical_phase_periodicity(self):
         # toy energies are integers: gamma -> gamma + 2 pi leaves the
@@ -176,6 +179,19 @@ class TestOptimizeQaoa:
         problem = QaoaProblem(inst, kind, "full", 3)
         warm = powell_minimize(problem.objective, np.concatenate(schedule), PowellOptions())
         assert warm.best_value <= lin.result.best_value + 1e-9
+
+    @pytest.mark.parametrize("scheme", ["full", "linearized"])
+    def test_distribution_comes_from_the_objective_propagation(self, scheme):
+        # A linearized record's objective and distribution both come from
+        # the Ramps; they agree with the angle path to rounding.
+        inst, kind = toy_instance(), CostKind.sbo(1.0)
+        out = optimize_qaoa(inst, kind, scheme, 3, options=PowellOptions(max_evaluations=60))
+        problem = QaoaProblem(inst, kind, scheme, 3)
+        best = out.result.best_params
+        assert problem.objective(best) == out.result.best_value
+        assert np.array_equal(problem.probabilities(best), out.distribution)
+        by_angles = problem.simulator.probabilities(problem.schedule(best))
+        assert np.abs(out.distribution - by_angles).max() <= 1e-12
 
     def test_full_battery_is_single_start(self):
         out = optimize_qaoa(toy_instance(), CostKind.classical(), "full", 2)
