@@ -85,6 +85,10 @@ class Ramp:
         """(layers, K), as for an angle array."""
         return (self.layers, *np.shape(self.first))
 
+    def __len__(self) -> int:
+        """The layer count, as len of an angle array."""
+        return self.layers
+
 
 def plus_state(n: int) -> np.ndarray:
     """Uniform real superposition |+>^n."""
@@ -223,22 +227,31 @@ class CircuitSimulator:
     def _transform_layers(self, x, y, gammas, betas, start, stop) -> None:
         """Layers start .. stop - 1 of the transform step on the real pairs x,
         with y as scratch. The phase tables of these layers live for this call
-        only."""
+        only.
+
+        One schedule (1-D angles, Ramps of scalar rows or a batch of one row)
+        takes its products by np.dot on the (width, 2) pairs: the dgemm that
+        np.matmul calls per row, with the same operands and bits, at less
+        dispatch.
+        """
         # Each call below writes its third argument (out, by position: the
         # faster call). No product is taken in place: a complex product of
         # length 1 rounds differently in place, which would part a batched
         # row from its solo run at one carried amplitude.
         c, d = _complex(x), _complex(y)
         b, bt = self._b, self._b.T
+        product = np.matmul
+        if c.size == len(b):
+            x, y, product = x.reshape(-1, 2), y.reshape(-1, 2), np.dot
         levels, index = self._cost_levels
         cost_ph = _level_table(gammas, levels, start, stop).take(index, axis=-1, mode="clip")
         levels, index = self._mix_levels
         mix_ph = _level_table(betas, levels, start, stop).take(index, axis=-1, mode="clip")
         for cp, mp in zip(cost_ph, mix_ph):
             np.multiply(c, cp, d)
-            np.matmul(b, y, x)
+            product(b, y, x)
             np.multiply(c, mp, d)
-            np.matmul(bt, y, x)
+            product(bt, y, x)
 
     def run_angles(self, gammas, betas) -> np.ndarray:
         """Final state vector in the computational basis; angles of shape
@@ -248,16 +261,13 @@ class CircuitSimulator:
             u = _complex(self._eig.eigenvectors @ _pairs(u))
         return _embed(u) if self.sector else u
 
-    def objective_angles(self, gammas: np.ndarray, betas: np.ndarray):
+    def objective_angles(self, gammas, betas):
         """<psi|H_C|psi> of the final state; the optimization target.
 
-        Angles of shape (p, K) give an array of the K schedules' values.
+        Angles of shape (p, K), or Ramps of K rows, give an array of the K
+        schedules' values. A Ramp's values agree with its angles to rounding,
+        from two exponentials per row and level (see _level_table).
         """
-        return self._energy(self._run(gammas, betas))
-
-    def objective_ramps(self, gammas: Ramp, betas: Ramp):
-        """objective_angles of schedules on lines: the same values to
-        rounding, from two exponentials per row and level (see _level_table)."""
         return self._energy(self._run(gammas, betas))
 
     def _energy(self, c: np.ndarray):

@@ -86,12 +86,9 @@ class QaoaProblem:
 
     def objective(self, params):
         """Objective of a parameter vector, or the K values of a (K, dims) array.
-        Linearized parameters run as Ramps (CircuitSimulator.objective_ramps),
-        which agree with their angles to rounding, about 1e-11 at p = 100 and
-        cost angles near MAX_INIT_SCALE."""
-        if self.scheme == "full":
-            return self.simulator.objective_angles(*self.schedule(params))
-        return self.simulator.objective_ramps(*self._circuit(params))
+        Linearized parameters run as Ramps, which agree with their angles to
+        rounding, about 1e-11 at p = 100 and cost angles near MAX_INIT_SCALE."""
+        return self.simulator.objective_angles(*self._circuit(params))
 
     def probabilities(self, params) -> np.ndarray:
         """Measurement distribution of the final state of a parameter vector,

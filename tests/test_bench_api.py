@@ -32,6 +32,8 @@ def test_problem_and_simulator(kind):
     values = problem.objective(x)
     assert values.shape == (3,)
     assert problem.objective(x[0]) == values[0]
+    # the benchmark's probe shape against a one-start round
+    assert problem.objective(x[:1])[0] == problem.objective(x[0])
     psi = problem.simulator.run_angles(x[0][:P], x[0][P:])
     assert psi.shape == (inst.dim,)
     dist = problem.simulator.probabilities(problem.schedule(x[0]))
@@ -56,10 +58,13 @@ def test_objective_passes_angles_positionally(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gq.evolution.CircuitSimulator, "objective_angles", recording)
-    problem = gq.variational.QaoaProblem(gq.toy_instance(), gq.CostKind.classical(), "full", 2)
-    problem.objective([0.1, 0.2, 0.3, 0.4])
-    [(args, kwargs)] = calls
-    assert len(args[1]) == 2 and not kwargs
+    for scheme, p, params in (("full", 2, [0.1, 0.2, 0.3, 0.4]),
+                              ("linearized", 5, [0.1, 0.2, 0.3, 0.4])):
+        problem = gq.variational.QaoaProblem(gq.toy_instance(), gq.CostKind.classical(), scheme, p)
+        problem.objective(params)
+        [(args, kwargs)] = calls
+        assert len(args[1]) == p and not kwargs
+        calls.clear()
 
 
 def test_optimizer_results():

@@ -240,27 +240,36 @@ class TestRunCircuit:
             gammas, betas = rng.uniform(-1, 1, (2, 15, 48))
             schedules.append((MAX_INIT_SCALE * gammas, betas))
         sim = CircuitSimulator(inst, kind)
+
+        def outputs(gammas, betas):
+            """States, probabilities and objective values, one row per schedule."""
+            return (np.atleast_2d(sim.run_angles(gammas, betas)),
+                    np.atleast_2d(sim.probabilities((gammas, betas))),
+                    np.atleast_1d(sim.objective_angles(gammas, betas)))
+
+        def assert_row_equal(batch, k, single):
+            for rows, row in zip(batch, single):
+                assert np.array_equal(rows[k], row[0])
+
         for gammas, betas in schedules:
-            batch = gammas.shape[1]
-            states = sim.run_angles(gammas, betas)
-            probs = sim.probabilities((gammas, betas))
-            assert states.shape == probs.shape == (batch, inst.dim)
-            for k in range(batch):
-                assert np.array_equal(states[k], sim.run_angles(gammas[:, k], betas[:, k]))
-                assert np.array_equal(probs[k], sim.probabilities((gammas[:, k], betas[:, k])))
+            batch = outputs(gammas, betas)
+            assert batch[0].shape == batch[1].shape == (gammas.shape[1], inst.dim)
+            for k in range(gammas.shape[1]):
+                assert_row_equal(batch, k, outputs(gammas[:, k], betas[:, k]))
+            # A one-row batch, like a solo run, takes its products by np.dot,
+            # where K rows take np.matmul.
+            assert_row_equal(batch, 0, outputs(gammas[:, :1], betas[:, :1]))
         # The ramp entry at the linearized battery's shape, p = 15 and K = 48
         # (K = 4 for the sbo cost at 2^11 carried amplitudes, where 48 rows
         # take half a minute), cost angles at the largest start scale.
-        batch = 4 if kind.temperature and sim.cost_eigs.size > 1024 else 48
-        (g1, dg), (b1, db) = rng.uniform(-1, 1, (2, 2, batch))
+        size = 4 if kind.temperature and sim.cost_eigs.size > 1024 else 48
+        (g1, dg), (b1, db) = rng.uniform(-1, 1, (2, 2, size))
         ramps = Ramp(MAX_INIT_SCALE * g1, MAX_INIT_SCALE * dg / 15, 15), Ramp(b1, db / 15, 15)
-        states = sim.run_angles(*ramps)
-        values = sim.objective_ramps(*ramps)
-        assert states.shape == (batch, inst.dim) and values.shape == (batch,)
-        for k in range(batch):
-            solo = [Ramp(r.first[k], r.step[k], r.layers) for r in ramps]
-            assert np.array_equal(states[k], sim.run_angles(*solo))
-            assert values[k] == sim.objective_ramps(*solo)
+        batch = outputs(*ramps)
+        assert batch[0].shape == (size, inst.dim) and batch[2].shape == (size,)
+        for k in range(size):
+            assert_row_equal(batch, k, outputs(*[Ramp(r.first[k], r.step[k], 15) for r in ramps]))
+        assert_row_equal(batch, 0, outputs(*[Ramp(r.first[:1], r.step[:1], 15) for r in ramps]))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
