@@ -10,8 +10,9 @@ The state is carried in the eigenbasis of the cost operator (for the
 classical cost, the computational basis), so every cost phase is a diagonal
 multiply and the objective is a dot product with the eigenvalues. The mixer
 phase is diagonal in the Hadamard basis, or real spin blocks in a rotated
-frame (see CircuitSimulator). Instances without fields carry only the even
-global-flip sector, half the amplitudes.
+frame that act on the float view of the complex amplitudes (see
+CircuitSimulator). Instances without fields carry only the even global-flip
+sector, half the amplitudes.
 
 Each phase is exp(-i angle level) over the operator's distinct eigenvalues,
 tabulated a chunk of layers at a time. A schedule of angle arrays takes one
@@ -34,14 +35,17 @@ from .operators import build_sbo, sbo_eigendecomposition
 # carried amplitudes (this many spins, one more in the even sector) and the
 # real block step above; the sbo cost always takes the transform. Measured
 # at p = 100, one BLAS thread, calls interleaved in one process, in us per
-# layer (transform / blocks, with fields): one schedule 13 / 17 at 128
-# amplitudes and 31 / 21 at 256; four schedules 44 / 37 at 128 and 132 / 55
-# at 256. The benchmark runs one shape on each side: the toy's 16 amplitudes
-# on the transform and 8192 (n = 14, no fields) in blocks.
+# layer (transform / blocks, with fields): one schedule 12-13 / 14-15 at 128
+# amplitudes and 30-43 / 19-33 at 256; four schedules 46-50 / 40-46 at 128
+# and 133-143 / 60-69 at 256. The benchmark runs one shape on each side:
+# the toy's 16 amplitudes on the transform and 8192 (n = 14, no fields) in
+# blocks.
 FUSED_MAX_SPINS = 7
 
-# Widest spin group the block step treats as one dense block (32 x 32).
-_BLOCK_SPINS = 5
+# Spins of the block step's lowest group, the pair block (16 x 16 on the
+# float view), and the widest group above it (16 x 16).
+_PAIR_SPINS = 3
+_BLOCK_SPINS = 4
 
 # Bytes of the phase tables (cost and mixer, p K width complex numbers each
 # once gathered), tabulated for as many layers at a time as fit (see _run).
@@ -115,9 +119,13 @@ class CircuitSimulator:
     step instead. Per spin exp(-i beta X) = U R(beta) U^H with U = diag(1, i)
     and the rotation R(beta) = [[cos beta, sin beta], [-sin beta, cos beta]],
     so with U = diag(i^popcount(x)) the mixer is U R(beta)^(x)m U^H on m
-    carried bits. The step carries phi = U^H c as real and imaginary planes,
-    on which R(beta)^(x)m acts as real blocks of at most _BLOCK_SPINS spins;
-    U^H of one layer cancels U of the last, and the cost phase commutes with U.
+    carried bits. The step carries phi = U^H c as one complex array across
+    all layers. R(beta)^(x)m acts on its float view, where real and
+    imaginary parts interleave, as real blocks: the lowest _PAIR_SPINS
+    spins as one pair block, kron(R^T, I2), that rows of the view multiply,
+    and the bits above in groups of at most _BLOCK_SPINS spins (see
+    _apply_blocks). U^H of one layer cancels U of the last, and the cost
+    phase commutes with U, so it stays one complex product.
 
     When every field is zero, |+>, H_X and the cost operator commute with
     the global flip, so the state never leaves the even sector. The
@@ -200,28 +208,20 @@ class CircuitSimulator:
             for start in range(0, shape[0], chunk):
                 self._transform_layers(x, y, gammas, betas, start, start + chunk)
             return c
-        # The block step carries phi = U^H c as planes z (..., 2, width).
-        z = np.stack((c.real, c.imag), -2)
-        w = np.empty_like(z)
+        # The block step carries phi = U^H c in c, with d as the other buffer.
+        d = np.empty_like(c)
         for start in range(0, shape[0], chunk):
             cost = _level_table(gammas, self._cost_levels[0], start, start + chunk)
             # exp(-i beta) = cos beta - i sin beta, shape (layers, ..., 1)
             mix = _level_table(betas, self._mix_levels[0], start, start + chunk)[..., 0]
             cos_b, sin_b = mix.real, -mix.imag
-            # layers K 4^k reals per group of k spins; the lowest takes R^T = R(-beta)
-            blocks = [_real_blocks(k, cos_b, sin_b if i else -sin_b)
-                      for i, k in enumerate(self._groups)]
+            blocks = _mixer_blocks(self._groups, cos_b, sin_b)
             for layer, levels in enumerate(cost):
-                # one complex product is faster than four on the planes
-                c.real, c.imag = z[..., 0, :], z[..., 1, :]
                 # gathered per layer: a layers x width table would be slower to read
                 c *= levels.take(self._cost_levels[1], axis=-1, mode="clip")
-                z[..., 0, :], z[..., 1, :] = c.real, c.imag
-                z, w = _apply_blocks(z, w, [a[layer] for a in blocks])
+                c, d = _apply_blocks(c, d, [a[layer] for a in blocks])
                 if self.sector:
-                    _top_spin_step(z, w, *self._top, cos_b[layer, ..., None, None],
-                                   sin_b[layer, ..., None, None])
-        c.real, c.imag = z[..., 0, :], z[..., 1, :]
+                    _top_spin_step(c, d, self._top, cos_b[layer, ..., None], sin_b[layer, ..., None])
         return c * self._u
 
     def _transform_layers(self, x, y, gammas, betas, start, stop) -> None:
@@ -281,59 +281,77 @@ class CircuitSimulator:
 
 
 def _spin_groups(m: int) -> list[int]:
-    """Near-equal groups of at most _BLOCK_SPINS of m bits, lowest first (13 -> 5, 4, 4)."""
-    return [g.size for g in np.array_split(np.arange(m), -(-m // _BLOCK_SPINS))]
+    """Spins per group of m bits, lowest first: the pair block's (at most
+    _PAIR_SPINS), then near-equal groups of at most _BLOCK_SPINS, larger
+    first (13 -> 3, 4, 3, 3)."""
+    low = min(m, _PAIR_SPINS)
+    count = -(-(m - low) // _BLOCK_SPINS)
+    return [low] + [(m - low + count - 1 - i) // count for i in range(count)]
 
 
-def _real_blocks(k: int, cos_b, sin_b) -> np.ndarray:
+def _real_blocks(k: int, cos_b, sin_b, pair: bool = False) -> np.ndarray:
     """The rotation R(beta)^(x)k for each (cos beta, sin beta), shape (..., 2^k,
     2^k): entry (i, j) is cos^(k - d) sin^d (-1)^popcount(i & ~j), d =
     popcount(i ^ j). Its transpose is R(-beta)^(x)k; U R U^H, U =
-    diag(i^popcount), is exp(-i beta sum sigma_x) on the k spins."""
+    diag(i^popcount), is exp(-i beta sum sigma_x) on the k spins. With
+    `pair`, kron(R(beta)^(x)k, I2), which acts alike on the real and
+    imaginary parts of interleaved complex amplitudes."""
     d = np.arange(k + 1)
     w = cos_b[..., None] ** (k - d) * sin_b[..., None] ** d
     i = np.arange(1 << k)
     index = np.bitwise_count(i[:, None] ^ i) + (k + 1) * (np.bitwise_count(i[:, None] & ~i) & 1)
+    values = [w, -w]
+    if pair:  # entry (2i + r, 2j + s) is entry (i, j) if r == s, else a zero
+        values.append(np.zeros_like(w[..., :1]))
+        same = np.eye(2, dtype=bool)[:, None, :]
+        index = np.where(same, index[:, None, :, None], 2 * k + 2).reshape(2 << k, 2 << k)
     # take, unlike fancy indexing on the last axis, gives contiguous blocks
-    return np.concatenate((w, -w), -1).take(index, axis=-1)
+    return np.concatenate(values, -1).take(index, axis=-1)
 
 
-def _apply_blocks(x: np.ndarray, y: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks on planes x (..., 2, 2^m), one per spin group from the lowest
-    bits up and one product per row, the lowest as its transpose (rows times
-    block); x and y take turns as output. Returns (result, the other buffer)."""
-    lead = x.shape[:-2]
-    below = 0  # bits under the current group
-    for a in blocks:
-        size = a.shape[-1]
-        if below == 0:
-            np.matmul(x.reshape(*lead, -1, size), a, y.reshape(*lead, -1, size))
-        else:
-            shape = (*lead, -1, size, 1 << below)
-            np.matmul(a[..., None, :, :], x.reshape(shape), y.reshape(shape))
-        below += size.bit_length() - 1
+def _mixer_blocks(groups: list[int], cos_b, sin_b) -> list[np.ndarray]:
+    """R(beta)^(x)k for each spin group, the lowest as the pair block of its
+    transpose, R(-beta) = R(beta)^T, since rows of the float view multiply it."""
+    low, *rest = groups
+    return [_real_blocks(low, cos_b, -sin_b, pair=True)] + [_real_blocks(k, cos_b, sin_b) for k in rest]
+
+
+def _apply_blocks(c: np.ndarray, d: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The mixer blocks on complex rows c (..., 2^m), one per spin group from
+    the lowest bits up, one product per row, on the float view, where real
+    and imaginary parts interleave. The pair block multiplies rows of the
+    view; a block of k spins above `below` floats multiplies the view as
+    (..., hi, 2^k, below). c and d take turns as output. Returns (result,
+    the other buffer)."""
+    x, y = c.view(float), d.view(float)
+    lead = c.shape[:-1]
+    pair, *rest = blocks
+    below = pair.shape[-1]
+    np.matmul(x.reshape(*lead, -1, below), pair, y.reshape(*lead, -1, below))
+    for a in rest:
         x, y = y, x
-    return x, y
+        shape = (*lead, -1, a.shape[-1], below)
+        np.matmul(a[..., None, :, :], x.reshape(shape), y.reshape(shape))
+        below *= a.shape[-1]
+    return y.view(complex), x.view(complex)
 
 
-def _top_spin_signs(m: int) -> tuple[slice, np.ndarray]:
-    """Plane order and (2, 2^m) signs of the top-spin step u -> cos(beta) u
-    - i sin(beta) reversed(u) in the rotated frame phi = (-i)^popcount(x) u.
-    reversed reads the m-bit complement x~, and u(x~) = i^(m - popcount(x)) phi(x~),
-    so phi -> cos(beta) phi - i^(m+1) sin(beta) (-1)^popcount(x) reversed(phi),
-    whose coefficient -(i^(m+1)) is (-1)^(m//2) for odd m, and -i (-1)^(m//2),
-    a signed swap of the planes, for even m."""
-    swap = (-1) ** (m + 1)
+def _top_spin_signs(m: int) -> np.ndarray:
+    """S of the top-spin step u -> cos(beta) u - i sin(beta) reversed(u) in the
+    rotated frame phi = (-i)^popcount(x) u: phi -> cos(beta) phi + sin(beta) S
+    reversed(phi). reversed reads the m-bit complement x~, and u(x~) =
+    i^(m - popcount(x)) phi(x~), so S = -i^(m+1) (-1)^popcount(x): real
+    (-1)^(m//2) (-1)^popcount(x) for odd m, and -i times it for even m."""
     s = np.where(np.bitwise_count(np.arange(1 << m)) & 1, -1.0, 1.0) * (-1) ** (m // 2)
-    return slice(None, None, swap), np.stack((s, swap * s))
+    return s * (1 + 0j if m % 2 else -1j)
 
 
-def _top_spin_step(x, y, planes, signs, cos_b, sin_b) -> None:
-    """The top-spin step on planes x; y is scratch (the reversed read must not alias it)."""
-    np.multiply(x[..., planes, ::-1], signs, y)
-    y *= sin_b
-    x *= cos_b
-    x += y
+def _top_spin_step(c, d, signs, cos_b, sin_b) -> None:
+    """The top-spin step on complex rows c; d is scratch (the reversed read must not alias it)."""
+    np.multiply(c[..., ::-1], signs, d)
+    d *= sin_b
+    c *= cos_b
+    c += d
 
 
 def _embed(u: np.ndarray, axis: int = -1) -> np.ndarray:

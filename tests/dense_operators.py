@@ -4,7 +4,7 @@ into a standalone operator."""
 
 import numpy as np
 
-from gibbs_qaoa.evolution import _apply_blocks, _real_blocks, _spin_groups, _top_spin_signs, _top_spin_step
+from gibbs_qaoa.evolution import _apply_blocks, _mixer_blocks, _spin_groups, _top_spin_signs, _top_spin_step
 
 
 def densified_mixer(n: int) -> np.ndarray:
@@ -22,24 +22,19 @@ def rotated_mixer(psi, beta, even=False):
     U . blocks . U^H with U = diag(i^popcount(x)).
 
     The state enters the rotated frame phi = U^H psi, the real blocks
-    R(beta)^(x)n act on its real and imaginary planes, and U takes it back.
-    Per spin this is U R(beta) U^H with U = diag(1, i) and the rotation
-    R(beta) = [[cos beta, sin beta], [-sin beta, cos beta]]. With `even`, psi
-    holds even-sector coefficients and the top-spin step follows the
-    blocks. psi may be a stack of states (..., 2^n) with one angle each in
-    beta (shape ...).
+    R(beta)^(x)n act on the float view of phi, where real and imaginary
+    parts interleave, and U takes it back. Per spin this is U R(beta) U^H
+    with U = diag(1, i) and the rotation R(beta) = [[cos beta, sin beta],
+    [-sin beta, cos beta]]. With `even`, psi holds even-sector coefficients
+    and the top-spin step follows the blocks. psi may be a stack of states
+    (..., 2^n) with one angle each in beta (shape ...).
     """
     n = psi.shape[-1].bit_length() - 1
     q = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << n)) % 4]
     phi = psi * q.conj()  # (-i)^popcount(x) psi
-    x = np.stack((phi.real, phi.imag), -2)
-    y = np.empty_like(x)
-    # the lowest group multiplies rows by its block, so it takes R(-beta) = R(beta)^T
-    groups = _spin_groups(n) if n else []
     cos_b, sin_b = np.cos(beta), np.sin(beta)
-    blocks = [_real_blocks(k, cos_b, sin_b if i else -sin_b) for i, k in enumerate(groups)]
-    x, y = _apply_blocks(x, y, blocks)
+    phi, out = _apply_blocks(phi, np.empty_like(phi), _mixer_blocks(_spin_groups(n), cos_b, sin_b))
     if even:
-        beta = np.asarray(beta, dtype=float)[..., None, None]
-        _top_spin_step(x, y, *_top_spin_signs(n), np.cos(beta), np.sin(beta))
-    return (x[..., 0, :] + 1j * x[..., 1, :]) * q
+        beta = np.asarray(beta, dtype=float)[..., None]
+        _top_spin_step(phi, out, _top_spin_signs(n), np.cos(beta), np.sin(beta))
+    return phi * q

@@ -96,7 +96,8 @@ class TestMixer:
                 )
                 assert np.abs(rotated_mixer(psi, beta) - expected).max() <= 1e-12
 
-    # n = 0..13 covers one to three spin blocks, even and uneven splits.
+    # n = 0..13 covers the pair block alone (n <= 3) and with up to three
+    # groups above it, even and uneven splits.
     @pytest.mark.parametrize("n", range(14))
     def test_matches_per_spin_reference(self, n):
         rng = np.random.default_rng(100 + n)
@@ -214,23 +215,31 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="lengths differ"):
             getattr(sim, entry)([0.1, 0.2, 0.3], [0.4])
 
-    @pytest.mark.parametrize("kind", [CostKind.classical(), CostKind.sbo(1.0)])
-    @pytest.mark.parametrize("inst", [
-        toy_instance(),  # no fields: the even sector, transform mixer step
-        IsingInstance(n=4, couplings={(1, 2): 1.0, (2, 3): -1.0, (3, 4): 1.0},
-                      fields=(0.5, 0.0, -0.3, 0.2)),
-        # no fields, 2^8 carried amplitudes: the transform step on the sbo
-        # cost, the block step on the classical one; 8 carried bits, so the
-        # top-spin step swaps the planes
-        IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)}),
-        # the classical block step outside the sector (2^8 amplitudes)
-        IsingInstance(n=8, couplings={(i, i + 1): 1.0 for i in range(1, 8)},
-                      fields=tuple(0.3 * (-1) ** i for i in range(8))),
-        # 9 carried bits: a real top-spin coefficient
-        IsingInstance(n=10, couplings={(i, i + 1): 1.0 for i in range(1, 10)}),
-        # 11 carried bits: three spin groups
-        IsingInstance(n=12, couplings={(i, i + 1): -1.0 for i in range(1, 12)}),
-    ], ids=["toy", "fields", "chain9", "fields8", "chain10", "chain12"])
+    @pytest.mark.parametrize(("inst", "kind"), [
+        *(pytest.param(inst, kind, id=f"{name}-kind{i}")
+          for name, inst in [
+              ("toy", toy_instance()),  # no fields: the even sector, transform mixer step
+              ("fields", IsingInstance(n=4, couplings={(1, 2): 1.0, (2, 3): -1.0, (3, 4): 1.0},
+                                       fields=(0.5, 0.0, -0.3, 0.2))),
+              # no fields, 2^8 carried amplitudes: the transform step on the
+              # sbo cost, the block step on the classical one; 8 carried bits,
+              # so the top-spin coefficient is -i times the signs
+              ("chain9", IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)})),
+              # the classical block step outside the sector (2^8 amplitudes)
+              ("fields8", IsingInstance(n=8, couplings={(i, i + 1): 1.0 for i in range(1, 8)},
+                                        fields=tuple(0.3 * (-1) ** i for i in range(8)))),
+              # 9 carried bits: a real top-spin coefficient
+              ("chain10", IsingInstance(n=10, couplings={(i, i + 1): 1.0 for i in range(1, 10)})),
+              # 11 carried bits: the pair block and two spin groups
+              ("chain12", IsingInstance(n=12, couplings={(i, i + 1): -1.0 for i in range(1, 12)})),
+          ]
+          for i, kind in enumerate([CostKind.classical(), CostKind.sbo(1.0)])),
+        # 13 carried bits, odd: the pair block and three spin groups, the
+        # block step of the qaoa-prop-n14 benchmark (classical only: an n = 14
+        # sbo build takes minutes)
+        pytest.param(IsingInstance(n=14, couplings={(i, i + 1): 1.0 for i in range(1, 14)}),
+                     CostKind.classical(), id="chain14-kind0"),
+    ])
     def test_batch_rows_equal_single_runs(self, inst, kind):
         rng = np.random.default_rng(9)
         schedules = [rng.uniform(-1, 1, (2, 4, 3))]  # p = 4, K = 3
@@ -501,8 +510,8 @@ def test_ramps_match_angle_path_and_dense_reference(n):
 
 def test_even_sector_three_blocks_matches_full_space():
     # Field-free n = 12 carries 2^11 amplitudes, which the block step splits
-    # into three blocks (4, 4, 3); the reference propagates all 2^12
-    # amplitudes with the per-spin mixer.
+    # into the 3-spin pair block and two groups (4, 4); the reference
+    # propagates all 2^12 amplitudes with the per-spin mixer.
     n = 12
     rng = np.random.default_rng(12)
     couplings = {pair: float(rng.choice([-1.0, 1.0]))
@@ -523,8 +532,8 @@ def test_even_sector_three_blocks_matches_full_space():
 
 def test_four_blocks_match_per_spin_reference():
     # n = 16 with fields carries 2^16 amplitudes, which the block step
-    # splits into four groups (4, 4, 4, 4); the reference applies the
-    # per-spin mixer to the same amplitudes.
+    # splits into the 3-spin pair block and four groups (4, 3, 3, 3); the
+    # reference applies the per-spin mixer to the same amplitudes.
     n = 16
     rng = np.random.default_rng(16)
     couplings = {pair: float(rng.choice([-1.0, 1.0]))
@@ -538,6 +547,6 @@ def test_four_blocks_match_per_spin_reference():
         psi = per_spin_mixer(np.exp(-1j * g * energies) * psi, b)
 
     sim = CircuitSimulator(inst, CostKind.classical())
-    assert not sim.sector and sim._groups == [4, 4, 4, 4]
+    assert not sim.sector and sim._groups == [3, 4, 3, 3, 3]
     assert np.abs(sim.run_angles(gammas, betas) - psi).max() <= 1e-10
     assert abs(sim.objective_angles(gammas, betas) - float(energies @ np.abs(psi) ** 2)) <= 1e-10
