@@ -34,12 +34,12 @@ from .operators import build_sbo, sbo_eigendecomposition
 # The classical cost takes the transform mixer step up to 2^FUSED_MAX_SPINS
 # carried amplitudes (this many spins, one more in the even sector) and the
 # real block step above; the sbo cost always takes the transform. Measured
-# at p = 100, one BLAS thread, calls interleaved in one process, in us per
-# layer (transform / blocks, with fields): one schedule 12-13 / 14-15 at 128
-# amplitudes and 30-43 / 19-33 at 256; four schedules 46-50 / 40-46 at 128
-# and 133-143 / 60-69 at 256. The benchmark runs one shape on each side:
-# the toy's 16 amplitudes on the transform and 8192 (n = 14, no fields) in
-# blocks.
+# at p = 100, one BLAS thread, calls interleaved in one process, as blocks
+# over transform time per layer: one schedule 1.04-1.22 at 128 amplitudes
+# without fields (0.82-0.97 with) and 0.45-0.84 at 256; four schedules
+# 0.77-0.87 at 128 and 0.25-0.59 at 256; 1.37-2.34 at 64. The benchmark runs
+# one shape on each side: the toy's 16 amplitudes on the transform and 8192
+# (n = 14, no fields) in blocks.
 FUSED_MAX_SPINS = 7
 
 # Spins of the block step's lowest group, the pair block (16 x 16 on the
@@ -123,9 +123,10 @@ class CircuitSimulator:
     all layers. R(beta)^(x)m acts on its float view, where real and
     imaginary parts interleave, as real blocks: the lowest _PAIR_SPINS
     spins as one pair block, kron(R^T, I2), that rows of the view multiply,
-    and the bits above in groups of at most _BLOCK_SPINS spins (see
-    _apply_blocks). U^H of one layer cancels U of the last, and the cost
-    phase commutes with U, so it stays one complex product.
+    and the bits above in groups of at most _BLOCK_SPINS spins, on views of
+    two buffers laid out once per run (see _block_views). U^H of one layer
+    cancels U of the last, and the cost phase commutes with U, so it stays
+    one complex product.
 
     When every field is zero, |+>, H_X and the cost operator commute with
     the global flip, so the state never leaves the even sector. The
@@ -133,7 +134,9 @@ class CircuitSimulator:
     e_x = (|x> + |~x>)/sqrt(2): V diagonalizes the cost operator's block on
     that sector, W keeps the even-parity Hadamard rows, and the block step
     acts on the low n - 1 spins by the blocks and on the top spin as
-    u -> cos(beta) u - i sin(beta) reversed(u) (see _top_spin_signs).
+    u -> cos(beta) u - i sin(beta) reversed(u) (see _top_spin_signs): cos
+    beta joins the cost phase, and the rest takes three passes after the
+    blocks (see _top_spin_factors).
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):
@@ -208,21 +211,34 @@ class CircuitSimulator:
             for start in range(0, shape[0], chunk):
                 self._transform_layers(x, y, gammas, betas, start, start + chunk)
             return c
-        # The block step carries phi = U^H c in c, with d as the other buffer.
+        # The block step carries phi = U^H c, on views of c and d laid out
+        # here: a layer ends in `out`, so the start goes there, and begins in c.
         d = np.empty_like(c)
+        ((x, y), *above), out = _block_views(c, d, self._groups)
+        out[...] = self._c0
+        scratch, index = d if out is c else c, self._cost_levels[1]
+        reversed_out, scratch_floats = out[..., ::-1], scratch.view(float)
         for start in range(0, shape[0], chunk):
             cost = _level_table(gammas, self._cost_levels[0], start, start + chunk)
             # exp(-i beta) = cos beta - i sin beta, shape (layers, ..., 1)
-            mix = _level_table(betas, self._mix_levels[0], start, start + chunk)[..., 0]
+            mix = _level_table(betas, self._mix_levels[0], start, start + chunk)
             cos_b, sin_b = mix.real, -mix.imag
-            blocks = _mixer_blocks(self._groups, cos_b, sin_b)
+            pair, *blocks = _mixer_blocks(self._groups, cos_b[..., 0], sin_b[..., 0])
+            if self.sector:  # cos beta, kept off zero, joins the cost phase
+                fold, tan_b = _top_spin_factors(cos_b, sin_b)
+                np.multiply(cost.view(float), fold, cost.view(float))
             for layer, levels in enumerate(cost):
                 # gathered per layer: a layers x width table would be slower to read
-                c *= levels.take(self._cost_levels[1], axis=-1, mode="clip")
-                c, d = _apply_blocks(c, d, [a[layer] for a in blocks])
+                levels.take(index, axis=-1, mode="clip", out=scratch)
+                np.multiply(out, scratch, c)
+                np.matmul(x, pair[layer], y)
+                for a, (x_a, y_a) in zip(blocks, above):
+                    np.matmul(a[layer], x_a, y_a)
                 if self.sector:
-                    _top_spin_step(c, d, self._top, cos_b[layer, ..., None], sin_b[layer, ..., None])
-        return c * self._u
+                    np.multiply(reversed_out, self._top, scratch)
+                    np.multiply(scratch_floats, tan_b[layer], scratch_floats)
+                    out += scratch
+        return out * self._u
 
     def _transform_layers(self, x, y, gammas, betas, start, stop) -> None:
         """Layers start .. stop - 1 of the transform step on the real pairs x,
@@ -310,30 +326,31 @@ def _real_blocks(k: int, cos_b, sin_b, pair: bool = False) -> np.ndarray:
 
 
 def _mixer_blocks(groups: list[int], cos_b, sin_b) -> list[np.ndarray]:
-    """R(beta)^(x)k for each spin group, the lowest as the pair block of its
-    transpose, R(-beta) = R(beta)^T, since rows of the float view multiply it."""
+    """R(beta)^(x)k for each spin group: the lowest as the pair block of its
+    transpose, R(-beta) = R(beta)^T, since rows of the float view multiply
+    it, and each above with a broadcast axis before its rows, for the
+    (..., hi, 2^k, below) views of _block_views."""
     low, *rest = groups
-    return [_real_blocks(low, cos_b, -sin_b, pair=True)] + [_real_blocks(k, cos_b, sin_b) for k in rest]
+    return [_real_blocks(low, cos_b, -sin_b, pair=True)] + [
+        _real_blocks(k, cos_b, sin_b)[..., None, :, :] for k in rest]
 
 
-def _apply_blocks(c: np.ndarray, d: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The mixer blocks on complex rows c (..., 2^m), one per spin group from
-    the lowest bits up, one product per row, on the float view, where real
-    and imaginary parts interleave. The pair block multiplies rows of the
-    view; a block of k spins above `below` floats multiplies the view as
-    (..., hi, 2^k, below). c and d take turns as output. Returns (result,
-    the other buffer)."""
+def _block_views(c: np.ndarray, d: np.ndarray, groups: list[int]) -> tuple[list, np.ndarray]:
+    """The float views that the mixer blocks read and write on complex rows
+    c (..., 2^m), one (input, output) pair per spin group from the lowest
+    bits up, alternating between c and d with c the first input; and the
+    buffer, c or d, that holds the result. The pair block multiplies rows
+    of the view, where real and imaginary parts interleave; a block of k
+    spins above `below` floats multiplies it as (..., hi, 2^k, below)."""
     x, y = c.view(float), d.view(float)
-    lead = c.shape[:-1]
-    pair, *rest = blocks
-    below = pair.shape[-1]
-    np.matmul(x.reshape(*lead, -1, below), pair, y.reshape(*lead, -1, below))
-    for a in rest:
+    lead, below = c.shape[:-1], 2 << groups[0]
+    views = [(x.reshape(*lead, -1, below), y.reshape(*lead, -1, below))]
+    for k in groups[1:]:
         x, y = y, x
-        shape = (*lead, -1, a.shape[-1], below)
-        np.matmul(a[..., None, :, :], x.reshape(shape), y.reshape(shape))
-        below *= a.shape[-1]
-    return y.view(complex), x.view(complex)
+        shape = (*lead, -1, 1 << k, below)
+        views.append((x.reshape(shape), y.reshape(shape)))
+        below <<= k
+    return views, d if len(groups) % 2 else c
 
 
 def _top_spin_signs(m: int) -> np.ndarray:
@@ -346,12 +363,15 @@ def _top_spin_signs(m: int) -> np.ndarray:
     return s * (1 + 0j if m % 2 else -1j)
 
 
-def _top_spin_step(c, d, signs, cos_b, sin_b) -> None:
-    """The top-spin step on complex rows c; d is scratch (the reversed read must not alias it)."""
-    np.multiply(c[..., ::-1], signs, d)
-    d *= sin_b
-    c *= cos_b
-    c += d
+def _top_spin_factors(cos_b, sin_b) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (g, sin(beta) / g) of the top-spin step, g = cos(beta)
+    held at least 1e-150 from zero, sign kept (a Ramp's products could give
+    cos beta = 0.0). g joins the cost phase before the blocks, which commute
+    with the step, and the step takes three passes: d = S reversed(phi),
+    d *= sin(beta) / g, phi += d. That gives g phi + sin(beta) S
+    reversed(phi), off the exact step by at most 1e-150 times an amplitude."""
+    fold = np.copysign(np.maximum(np.abs(cos_b), 1e-150), cos_b)
+    return fold, sin_b / fold
 
 
 def _embed(u: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -4,7 +4,7 @@ into a standalone operator."""
 
 import numpy as np
 
-from gibbs_qaoa.evolution import _apply_blocks, _mixer_blocks, _spin_groups, _top_spin_signs, _top_spin_step
+from gibbs_qaoa.evolution import _block_views, _mixer_blocks, _spin_groups, _top_spin_factors, _top_spin_signs
 
 
 def densified_mixer(n: int) -> np.ndarray:
@@ -25,16 +25,28 @@ def rotated_mixer(psi, beta, even=False):
     R(beta)^(x)n act on the float view of phi, where real and imaginary
     parts interleave, and U takes it back. Per spin this is U R(beta) U^H
     with U = diag(1, i) and the rotation R(beta) = [[cos beta, sin beta],
-    [-sin beta, cos beta]]. With `even`, psi holds even-sector coefficients
-    and the top-spin step follows the blocks. psi may be a stack of states
-    (..., 2^n) with one angle each in beta (shape ...).
+    [-sin beta, cos beta]]. With `even`, psi holds even-sector coefficients:
+    phi first takes the fold g (which the simulator puts in the cost phase)
+    and the blocks are followed by the top-spin step's three passes. psi may
+    be a stack of states (..., 2^n) with one angle each in beta (shape ...).
     """
     n = psi.shape[-1].bit_length() - 1
     q = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << n)) % 4]
     phi = psi * q.conj()  # (-i)^popcount(x) psi
     cos_b, sin_b = np.cos(beta), np.sin(beta)
-    phi, out = _apply_blocks(phi, np.empty_like(phi), _mixer_blocks(_spin_groups(n), cos_b, sin_b))
     if even:
-        beta = np.asarray(beta, dtype=float)[..., None]
-        _top_spin_step(phi, out, _top_spin_signs(n), np.cos(beta), np.sin(beta))
-    return phi * q
+        fold, tan_b = _top_spin_factors(np.asarray(cos_b)[..., None], np.asarray(sin_b)[..., None])
+        phi *= fold
+    groups = _spin_groups(n)
+    scratch = np.empty_like(phi)
+    ((x, y), *above), out = _block_views(phi, scratch, groups)
+    pair, *blocks = _mixer_blocks(groups, cos_b, sin_b)
+    np.matmul(x, pair, y)
+    for a, (x_a, y_a) in zip(blocks, above):
+        np.matmul(a, x_a, y_a)
+    if even:
+        other = scratch if out is phi else phi
+        np.multiply(out[..., ::-1], _top_spin_signs(n), other)
+        other *= tan_b
+        out += other
+    return out * q

@@ -18,6 +18,7 @@ from gibbs_qaoa.evolution import (
     _embed,
     _hadamard_rows,
     _real_blocks,
+    _top_spin_factors,
     plus_state,
 )
 from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
@@ -120,7 +121,9 @@ class TestMixer:
         for row, state, beta in zip(out, psi, betas):
             assert np.array_equal(row, rotated_mixer(state, beta))
 
-    # The top-spin step, against the formula it implements, bit for bit.
+    # The top-spin step, bit for bit against the formula it implements: the
+    # fold g before the blocks, then low + (sin(beta) / g) (-i) reversed(low)
+    # in the unrotated frame; and within 1e-15 of the exact step.
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_even_mixer_top_spin_step(self, n):
         rng = np.random.default_rng(300 + n)
@@ -128,8 +131,25 @@ class TestMixer:
         betas = np.array([0.4, -1.3])
         out = rotated_mixer(u, betas, even=True)
         for row, state, beta in zip(out, u, betas):
+            fold, tan_b = _top_spin_factors(np.cos(beta), np.sin(beta))
+            low = rotated_mixer(fold * state, beta)
+            assert np.array_equal(row, low + tan_b * (-1j * low[::-1]))
             low = rotated_mixer(state, beta)
-            assert np.array_equal(row, np.cos(beta) * low - 1j * np.sin(beta) * low[::-1])
+            assert np.abs(row - (np.cos(beta) * low - 1j * np.sin(beta) * low[::-1])).max() <= 1e-15
+
+    # cos beta = +-0.0, which a Ramp's products could give: the factors stay
+    # finite, and the fold with the three passes is the top-spin mixer
+    # u -> -i sin(beta) reversed(u) (S is -i in the unrotated frame).
+    @pytest.mark.parametrize("cos_b", [0.0, -0.0])
+    @pytest.mark.parametrize("sin_b", [1.0, -1.0])
+    def test_top_spin_factors_at_zero_cosine(self, cos_b, sin_b):
+        fold, tan_b = _top_spin_factors(np.array([cos_b]), np.array([sin_b]))
+        assert np.isfinite(fold).all() and np.isfinite(tan_b).all()
+        assert 0 < abs(fold[0]) <= 1e-150 and np.signbit(fold[0]) == np.signbit(cos_b)
+        u = random_state(np.random.default_rng(5), 1 << 9)
+        phi = fold * u
+        phi += tan_b * (-1j * phi[::-1])
+        assert np.abs(phi - -1j * sin_b * u[::-1]).max() <= 1e-15
 
     # The block step's real block R(beta)^(x)k, R the rotation
     # [[cos, sin], [-sin, cos]], is orthogonal with transpose R(-beta)^(x)k,
@@ -506,6 +526,28 @@ def test_ramps_match_angle_path_and_dense_reference(n):
                     psi = per_spin_mixer(psi, b)
                 assert abs(values[0] - np.vdot(psi, h_cost @ psi).real) <= 1e-10
                 assert np.abs(problem.probabilities(lines[0]) - np.abs(psi) ** 2).max() <= 1e-10
+
+
+# Mixer layers at beta in {0, pi/2, -pi/2, pi}, where cos beta or sin beta
+# is zero to rounding, on the block step's even sector with an even and an
+# odd number of carried bits (n = 9 and 10), as angle arrays and as a Ramp,
+# against numpy.linalg.eigh.
+@pytest.mark.parametrize("n", [9, 10])
+def test_block_step_at_quarter_turns_matches_dense_reference(n):
+    rng = np.random.default_rng(50 + n)
+    couplings = {pair: float(rng.choice([-1.0, 1.0]))
+                 for pair in itertools.combinations(range(1, n + 1), 2)}
+    inst = IsingInstance(n=n, couplings=couplings)
+    sim = CircuitSimulator(inst, CostKind.classical())
+    assert sim.sector and sim._b is None
+    h_cost = np.diag(energy_table(inst))
+    gammas = rng.uniform(-1, 1, 6)
+    betas = np.array([0.0, np.pi / 2, 0.7, -np.pi / 2, np.pi, -0.4])
+    psi_ref, _ = dense_reference(h_cost, n, gammas, betas)
+    assert np.abs(sim.run_angles(gammas, betas) - psi_ref).max() <= 1e-10
+    ramp = Ramp(np.pi / 2, -np.pi / 2, 4)  # pi/2, 0, -pi/2, -pi
+    psi_ref, _ = dense_reference(h_cost, n, gammas[:4], np.pi / 2 - np.pi / 2 * np.arange(4))
+    assert np.abs(sim.run_angles(gammas[:4], ramp) - psi_ref).max() <= 1e-10
 
 
 def test_even_sector_three_blocks_matches_full_space():
