@@ -134,9 +134,11 @@ class CircuitSimulator:
     e_x = (|x> + |~x>)/sqrt(2): V diagonalizes the cost operator's block on
     that sector, W keeps the even-parity Hadamard rows, and the block step
     acts on the low n - 1 spins by the blocks and on the top spin as
-    u -> cos(beta) u - i sin(beta) reversed(u) (see _top_spin_signs): cos
-    beta joins the cost phase, and the rest takes three passes after the
-    blocks (see _top_spin_factors).
+    u -> cos(beta) u - i sin(beta) reversed(u). In the frame phi = U^H u
+    that is phi -> cos(beta) phi + sin(beta) S reversed(phi), where S =
+    -i U^H reversed(U) (reversed reads the complement of x): cos beta joins
+    the cost phase, and the rest takes three passes after the blocks (see
+    _top_spin_factors).
     """
 
     def __init__(self, inst: IsingInstance, kind: CostKind):
@@ -163,12 +165,11 @@ class CircuitSimulator:
         else:
             # the block step reads cos beta and sin beta off exp(-i beta)
             self._mix_levels = np.array([-1j]), None
-            m = width.bit_length() - 1  # carried bits
             self._u = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(width)) % 4]
             self._c0 = self._c0 * self._u.conj()
-            self._groups = _spin_groups(m)
-            if self.sector:
-                self._top = _top_spin_signs(m)
+            self._groups = _spin_groups(width.bit_length() - 1)  # of the carried bits
+            if self.sector:  # S of the top-spin step, in the frame of U
+                self._top = -1j * self._u.conj() * self._u[::-1]
 
     @property
     def eig(self) -> EigenDecomposition | None:
@@ -351,16 +352,6 @@ def _block_views(c: np.ndarray, d: np.ndarray, groups: list[int]) -> tuple[list,
         views.append((x.reshape(shape), y.reshape(shape)))
         below <<= k
     return views, d if len(groups) % 2 else c
-
-
-def _top_spin_signs(m: int) -> np.ndarray:
-    """S of the top-spin step u -> cos(beta) u - i sin(beta) reversed(u) in the
-    rotated frame phi = (-i)^popcount(x) u: phi -> cos(beta) phi + sin(beta) S
-    reversed(phi). reversed reads the m-bit complement x~, and u(x~) =
-    i^(m - popcount(x)) phi(x~), so S = -i^(m+1) (-1)^popcount(x): real
-    (-1)^(m//2) (-1)^popcount(x) for odd m, and -i times it for even m."""
-    s = np.where(np.bitwise_count(np.arange(1 << m)) & 1, -1.0, 1.0) * (-1) ** (m // 2)
-    return s * (1 + 0j if m % 2 else -1j)
 
 
 def _top_spin_factors(cos_b, sin_b) -> tuple[np.ndarray, np.ndarray]:

@@ -81,9 +81,6 @@ class IsingInstance:
         leaves each energy unchanged."""
         return all(h == 0 for h in self.fields)
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.couplings.items()), self.fields))
-
 
 def spins_of(index: int, n: int) -> tuple[int, ...]:
     """Spin eigenvalues (+1/-1) of basis state `index`, spin 1 first."""
@@ -212,7 +209,6 @@ def _flip_orbits(states: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]
 class GibbsDistribution:
     """Boltzmann distribution over basis states, with its normalizer."""
 
-    temperature: float
     probabilities: np.ndarray
     log_z: float
 
@@ -238,23 +234,17 @@ def gibbs_distribution(inst: IsingInstance, temperature: float) -> GibbsDistribu
         w = np.exp(-(e - e0) / temperature)
         total = w.sum()
         log_z = float(-e0 / temperature + np.log(total))
-    return GibbsDistribution(
-        temperature=float(temperature), probabilities=w / total, log_z=log_z
-    )
+    return GibbsDistribution(probabilities=w / total, log_z=log_z)
 
 
 def gibbs_amplitudes(inst: IsingInstance, temperature: float) -> np.ndarray:
     """Unit vector with amplitudes proportional to exp(-E/2T).
 
     This is the square-root-Boltzmann state annihilated by the structured
-    cost operator built in `operators.build_sbo`.
+    cost operator built in `operators.build_sbo`: the square roots of the
+    Boltzmann probabilities.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    e = energy_table(inst)
-    with np.errstate(over="ignore"):  # an overflowed exponent is amplitude 0
-        amps = np.exp(-(e - e.min()) / (2.0 * temperature))
-    return amps / np.linalg.norm(amps)
+    return np.sqrt(gibbs_distribution(inst, temperature).probabilities)
 
 
 # --- the built-in frustrated 5-spin benchmark -------------------------------

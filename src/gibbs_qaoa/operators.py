@@ -26,7 +26,6 @@ class SboOperator:
     """
 
     n: int
-    temperature: float
     diag: np.ndarray
     offdiag: float
 
@@ -74,7 +73,6 @@ def build_sbo(inst: IsingInstance, temperature: float) -> SboOperator:
     with np.errstate(over="ignore"):  # an overflowed exponent is a term of 0
         return SboOperator(
             n=inst.n,
-            temperature=float(temperature),
             diag=sum(np.exp((terms - a) / temperature)),
             offdiag=float(-np.exp(-a / temperature)),
         )

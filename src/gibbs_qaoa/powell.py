@@ -69,8 +69,8 @@ class OptResult:
     # "time_budget".
     stop: str
     trace: list[tuple[int, float]] = field(default_factory=list)
-    # For a multi-start run: every start's result in row order, and the row
-    # this result came from.
+    # Set on the result powell_minimize returns: every start's result in
+    # row order (whose own `starts` are empty), and the winner's row.
     starts: list[OptResult] = field(default_factory=list, repr=False)
     winner: int = 0
 
@@ -277,16 +277,15 @@ def _powell(x, opts: PowellOptions, deadline: float | None):
 
 def powell_minimize(func, x0, options: PowellOptions | None = None,
                     time_budget: float | None = None) -> OptResult:
-    """Minimize func over R^n starting from x0.
+    """Minimize func over R^n from each row of the 2-D array x0.
 
-    A 1-D x0 is one start, and func maps a point to a number. A 2-D x0 holds
-    one start per row; the starts advance in lockstep, and func maps the
-    (k, n) array of the pending points of a round to their k values. Each
-    start takes the same steps as it would alone, the evaluation cap
-    applies per start, and `time_budget` (wall seconds; None for none) is
-    one deadline for all starts together. The result is the start with
-    the lowest final value (the earliest of equals), with every start's
-    result in `starts`.
+    The starts advance in lockstep: func maps the (k, n) array of the
+    pending points of a round to their k values. Each start takes the same
+    steps as it would in a batch of one, the evaluation cap applies per
+    start, and `time_budget` (wall seconds; None for none) is one deadline
+    for all starts together. The result is the start with the lowest final
+    value (the earliest of equals), with every start's result in `starts`
+    and its row in `winner`.
 
     The returned trace holds the objective after each direction-set cycle
     (entry 0 is the starting value) and is non-increasing by construction:
@@ -298,18 +297,15 @@ def powell_minimize(func, x0, options: PowellOptions | None = None,
         raise ValueError(f"wall-clock budget must be >= 0 seconds, got {time_budget!r}")
     deadline = None if time_budget is None else time.perf_counter() + time_budget
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim > 2:
-        raise ValueError(f"starting points must be 1-D or 2-D, got shape {x0.shape}")
-    batched = x0.ndim == 2
-    rows = x0 if batched else np.atleast_1d(x0)[None]
-    evaluate = func if batched else (lambda points: [func(points[0])])
+    if x0.ndim != 2:
+        raise ValueError(f"starting points must be the rows of a 2-D array, got shape {x0.shape}")
 
-    searches = [_powell(x.copy(), opts, deadline) for x in rows]
+    searches = [_powell(x.copy(), opts, deadline) for x in x0]
     pending = {i: next(s) for i, s in enumerate(searches)}
     results: list[OptResult] = [None] * len(searches)
     while pending:
         points = np.array(list(pending.values()))
-        values = np.asarray(evaluate(points), dtype=float).tolist()  # Python floats
+        values = np.asarray(func(points), dtype=float).tolist()  # Python floats
         for i, x, value in zip(list(pending), points, values, strict=True):
             if not math.isfinite(value):
                 raise ObjectiveError(x, value)
@@ -319,7 +315,5 @@ def powell_minimize(func, x0, options: PowellOptions | None = None,
                 results[i] = done.value
                 del pending[i]
 
-    if not batched:
-        return results[0]
     winner = min(range(len(results)), key=lambda i: results[i].best_value)
     return replace(results[winner], starts=results, winner=winner)

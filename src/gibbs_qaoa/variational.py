@@ -161,9 +161,9 @@ def optimize_qaoa(
     into.
 
     All starts advance in lockstep, one batched objective evaluation per
-    round, with the same steps and results as run one by one. `time_budget`
-    (wall seconds) is one deadline for the whole point: every start still
-    running stops at it, and the best of what each reached wins.
+    round, each with the same steps and result as in a batch of one.
+    `time_budget` (wall seconds) is one deadline for the whole point: every
+    start still running stops at it, and the best of what each reached wins.
     """
     problem = QaoaProblem(inst, kind, scheme, p)
     result = powell_minimize(problem.objective, problem.starts(), options, time_budget)

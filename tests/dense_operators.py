@@ -4,7 +4,7 @@ into a standalone operator."""
 
 import numpy as np
 
-from gibbs_qaoa.evolution import _block_views, _mixer_blocks, _spin_groups, _top_spin_factors, _top_spin_signs
+from gibbs_qaoa.evolution import _block_views, _mixer_blocks, _spin_groups, _top_spin_factors
 
 
 def densified_mixer(n: int) -> np.ndarray:
@@ -15,6 +15,16 @@ def densified_mixer(n: int) -> np.ndarray:
     for b in range(n):
         m[idx, idx ^ (1 << b)] = 1.0
     return m
+
+
+def top_spin_signs(m: int) -> np.ndarray:
+    """S of the top-spin step u -> cos(beta) u - i sin(beta) reversed(u) in
+    the rotated frame phi = (-i)^popcount(x) u, on m carried bits:
+    phi -> cos(beta) phi + sin(beta) S reversed(phi). reversed reads the
+    complement x~, and u(x~) = i^(m - popcount(x)) phi(x~), so
+    S = -i^(m+1) (-1)^popcount(x)."""
+    parity = np.where(np.bitwise_count(np.arange(1 << m)) & 1, -1.0, 1.0)
+    return -np.array([1, 1j, -1, -1j])[(m + 1) % 4] * parity
 
 
 def rotated_mixer(psi, beta, even=False):
@@ -46,7 +56,7 @@ def rotated_mixer(psi, beta, even=False):
         np.matmul(a, x_a, y_a)
     if even:
         other = scratch if out is phi else phi
-        np.multiply(out[..., ::-1], _top_spin_signs(n), other)
+        np.multiply(out[..., ::-1], top_spin_signs(n), other)
         other *= tan_b
         out += other
     return out * q

@@ -152,7 +152,7 @@ def test_criterion_4_qaoa_bias(qaoa_full_scan, toy_gs):
         problem = QaoaProblem(toy_instance(), CostKind.classical(), "full", first_p)
         rng = np.random.default_rng(7)
         x0 = problem.starts()[-1] + rng.uniform(-0.5, 0.5, 2 * first_p)  # perturbed ramp
-        rerun = powell_minimize(problem.objective, x0, PowellOptions())
+        rerun = powell_minimize(problem.objective, x0[None], PowellOptions())
         probs = problem.simulator.probabilities(problem.schedule(rerun.best_params))
         gap2 = fairness_gap(orbit_probabilities(probs, toy_gs))
         detail += f"; perturbed rerun gap={gap2:.4f}"
@@ -257,9 +257,12 @@ def test_criterion_8_numerical_kernel_suite(toy_gs):
 
 
 def test_criterion_9_optimizer_suite():
-    quad = powell_minimize(lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2, [0.0, 0.0])
+    # each function as a batch of one start, its points as rows
+    quad = powell_minimize(lambda v: (v[:, 0] - 1.0) ** 2 + (v[:, 1] + 2.0) ** 2,
+                           np.array([[0.0, 0.0]]))
     rosen = powell_minimize(
-        lambda v: (1 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2, [-1.2, 1.0]
+        lambda v: (1 - v[:, 0]) ** 2 + 100.0 * (v[:, 1] - v[:, 0] ** 2) ** 2,
+        np.array([[-1.2, 1.0]]),
     )
     quad_err = float(np.abs(quad.best_params - [1.0, -2.0]).max())
     rosen_err = float(np.abs(rosen.best_params - [1.0, 1.0]).max())

@@ -25,7 +25,7 @@ from gibbs_qaoa.ising import IsingInstance, energy_table, toy_instance
 from gibbs_qaoa.operators import build_sbo, densify
 from gibbs_qaoa.variational import MAX_INIT_SCALE, QaoaProblem
 
-from dense_operators import densified_mixer, rotated_mixer
+from dense_operators import densified_mixer, rotated_mixer, top_spin_signs
 
 # objective of the unoptimized annealing ramp at p=10, frozen from an
 # independent dense matrix-product simulation
@@ -531,7 +531,8 @@ def test_ramps_match_angle_path_and_dense_reference(n):
 # Mixer layers at beta in {0, pi/2, -pi/2, pi}, where cos beta or sin beta
 # is zero to rounding, on the block step's even sector with an even and an
 # odd number of carried bits (n = 9 and 10), as angle arrays and as a Ramp,
-# against numpy.linalg.eigh.
+# against numpy.linalg.eigh; and the simulator's top-spin signs, derived from
+# its frame, against their closed form.
 @pytest.mark.parametrize("n", [9, 10])
 def test_block_step_at_quarter_turns_matches_dense_reference(n):
     rng = np.random.default_rng(50 + n)
@@ -540,6 +541,7 @@ def test_block_step_at_quarter_turns_matches_dense_reference(n):
     inst = IsingInstance(n=n, couplings=couplings)
     sim = CircuitSimulator(inst, CostKind.classical())
     assert sim.sector and sim._b is None
+    assert np.array_equal(sim._top, top_spin_signs(n - 1))
     h_cost = np.diag(energy_table(inst))
     gammas = rng.uniform(-1, 1, 6)
     betas = np.array([0.0, np.pi / 2, 0.7, -np.pi / 2, np.pi, -0.4])

@@ -22,6 +22,11 @@ def drive(search, f):
         return done.value
 
 
+def rows(f):
+    """Row-wise form of a one-point objective."""
+    return lambda points: [f(x) for x in points]
+
+
 class TestLineSearchPieces:
     def test_bracket_surrounds_a_minimum(self):
         f = lambda x: (x - 2.0) ** 2
@@ -60,22 +65,23 @@ class TestLineSearchPieces:
 
 class TestPowell:
     def test_quadratic(self):
-        r = powell_minimize(lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2, [0.0, 0.0])
+        r = powell_minimize(rows(lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2),
+                            np.array([[0.0, 0.0]]))
         assert r.converged
         assert np.abs(r.best_params - [1.0, -2.0]).max() <= 1e-8
         assert r.best_value <= 1e-8
 
     def test_rosenbrock(self):
-        r = powell_minimize(rosenbrock, [-1.2, 1.0])
+        r = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]]))
         assert r.converged
         assert np.abs(r.best_params - [1.0, 1.0]).max() <= 1e-5
 
     def test_one_dimensional_cosine(self):
-        r = powell_minimize(lambda v: np.cos(v[0]), [1.0])
+        r = powell_minimize(rows(lambda v: np.cos(v[0])), np.array([[1.0]]))
         assert r.best_params[0] == pytest.approx(np.pi, abs=1e-6)
 
     def test_trace_non_increasing_and_final(self):
-        r = powell_minimize(rosenbrock, [-1.2, 1.0])
+        r = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]]))
         values = [v for _, v in r.trace]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == r.best_value
@@ -86,7 +92,7 @@ class TestPowell:
             return np.inf if v[0] > 0.5 else (v[0] - 1.0) ** 2
 
         with pytest.raises(ObjectiveError) as err:
-            powell_minimize(bad, [0.0])
+            powell_minimize(rows(bad), np.array([[0.0]]))
         assert err.value.point.shape == (1,)
 
     def test_evaluation_cap(self):
@@ -98,19 +104,19 @@ class TestPowell:
             return float(np.sum(v * v))
 
         opts = PowellOptions(max_evaluations=50)
-        r = powell_minimize(f, np.ones(30), opts)
+        r = powell_minimize(rows(f), np.ones((1, 30)), opts)
         assert not r.converged
         assert calls <= 50 + 40  # cap checked between line searches
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(powell, "MAX_ITERATIONS", 2)
         monkeypatch.setattr(powell, "FTOL", 0.0)
-        r = powell_minimize(rosenbrock, [-1.2, 1.0])
+        r = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]]))
         assert not r.converged
         assert r.trace[-1][0] == 2
 
     def test_already_at_minimum(self):
-        r = powell_minimize(lambda v: float(np.sum(v * v)), [0.0, 0.0])
+        r = powell_minimize(rows(lambda v: float(np.sum(v * v))), np.array([[0.0, 0.0]]))
         assert r.converged
         assert r.best_value == 0.0
 
@@ -121,13 +127,8 @@ class TestPowell:
         def f(v):
             return float(np.sum((v - target) ** 2))
 
-        r = powell_minimize(f, np.zeros(12))
+        r = powell_minimize(rows(f), np.zeros((1, 12)))
         assert np.abs(r.best_params - target).max() <= 1e-7
-
-
-def rows(f):
-    """Row-wise form of a one-point objective."""
-    return lambda points: [f(x) for x in points]
 
 
 class TestLockstep:
@@ -136,11 +137,11 @@ class TestLockstep:
     def test_each_start_matches_its_standalone_run(self, f, cap):
         # The first start begins at the quadratic's minimum and converges
         # within a few rounds; the others run longer, and under the small
-        # cap some of them stop at it.
+        # cap some of them stop at it. Alone, a start runs as a batch of one.
         starts = np.array([[1.0, -2.0], [-1.2, 1.0], [2.0, 2.0], [0.3, -0.7], [-3.0, 4.0]])
         opts = PowellOptions(max_evaluations=cap)
         batch = powell_minimize(rows(f), starts, opts)
-        alone = [powell_minimize(f, x0, opts) for x0 in starts]
+        alone = [powell_minimize(rows(f), x0[None], opts) for x0 in starts]
         assert len(batch.starts) == len(starts)
         for got, want in zip(batch.starts, alone):
             assert np.array_equal(got.best_params, want.best_params)
@@ -188,13 +189,14 @@ class TestLockstep:
         assert np.isnan(err.value.value)
 
     def test_stop_reasons(self, monkeypatch):
-        assert powell_minimize(rosenbrock, [-1.2, 1.0]).stop == "ftol"
-        capped = powell_minimize(rosenbrock, [-1.2, 1.0], PowellOptions(max_evaluations=30))
+        assert powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]])).stop == "ftol"
+        capped = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]]),
+                                 PowellOptions(max_evaluations=30))
         assert capped.stop == "max_evaluations"
         with monkeypatch.context() as m:
             m.setattr(powell, "MAX_ITERATIONS", 2)
             m.setattr(powell, "FTOL", 0.0)
-            cycles = powell_minimize(rosenbrock, [-1.2, 1.0])
+            cycles = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]]))
         assert cycles.stop == "max_iterations"
         late = powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0], [2.0, 2.0]]),
                                time_budget=0.0)
@@ -203,7 +205,8 @@ class TestLockstep:
     def test_cut_cycle_is_not_converged(self):
         # The cap cuts the first cycle after its first line search: the
         # second direction, where the minimum lies, was never searched.
-        r = powell_minimize(lambda v: (v[1] - 1) ** 2, [0, 0], PowellOptions(max_evaluations=5))
+        r = powell_minimize(rows(lambda v: (v[1] - 1) ** 2), np.array([[0.0, 0.0]]),
+                           PowellOptions(max_evaluations=5))
         assert (r.best_value, r.n_evaluations) == (1.0, 40)
         assert r.stop == "max_evaluations"
         assert not r.converged
@@ -216,8 +219,9 @@ class TestLockstep:
     @pytest.mark.parametrize("budget", [-1.0, float("nan")])
     def test_bad_time_budget_rejected(self, budget):
         with pytest.raises(ValueError, match=str(budget)):
-            powell_minimize(rosenbrock, [-1.2, 1.0], time_budget=budget)
+            powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]]), time_budget=budget)
 
-    def test_single_start_has_no_start_records(self):
-        r = powell_minimize(rosenbrock, [-1.2, 1.0])
-        assert r.starts == [] and r.winner == 0
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], 0.5, [[[0.0]]]])
+    def test_starts_must_be_rows(self, x0):
+        with pytest.raises(ValueError, match="2-D"):
+            powell_minimize(rows(rosenbrock), x0)

@@ -177,7 +177,7 @@ class TestOptimizeQaoa:
         lin = optimize_qaoa(inst, kind, "linearized", 3)
         schedule = QaoaProblem(inst, kind, "linearized", 3).schedule(lin.result.best_params)
         problem = QaoaProblem(inst, kind, "full", 3)
-        warm = powell_minimize(problem.objective, np.concatenate(schedule), PowellOptions())
+        warm = powell_minimize(problem.objective, np.concatenate(schedule)[None], PowellOptions())
         assert warm.best_value <= lin.result.best_value + 1e-9
 
     @pytest.mark.parametrize("scheme", ["full", "linearized"])
@@ -205,7 +205,7 @@ class TestOptimizeQaoa:
         out = optimize_qaoa(inst, kind, "full", 1)
         assert out.n_starts == 2
         problem = QaoaProblem(inst, kind, "full", 1)
-        plain = powell_minimize(problem.objective, problem.starts()[-1])
+        plain = powell_minimize(problem.objective, problem.starts()[-1:])
         assert out.result.best_value <= plain.best_value
         assert scale(kind, inst) == pytest.approx(np.exp(8.0))
 
@@ -225,7 +225,7 @@ class TestOptimizeQaoa:
     @pytest.mark.parametrize("scheme", ["full", "linearized"])
     def test_starts_match_standalone_runs(self, scheme):
         # The lockstep batch changes no start's path: each start's record
-        # equals a run of that start alone, bit for bit.
+        # equals a run of that start alone (a batch of one), bit for bit.
         inst, kind, p = toy_instance(), CostKind.sbo(0.5), 3
         opts = PowellOptions(max_evaluations=300)
         out = optimize_qaoa(inst, kind, scheme, p, options=opts)
@@ -238,7 +238,7 @@ class TestOptimizeQaoa:
             starts = battery(kind, inst)
         assert out.n_starts == len(starts)
         for x0, got in zip(starts, out.result.starts):
-            want = powell_minimize(problem.objective, x0, opts)
+            want = powell_minimize(problem.objective, np.array([x0]), opts)
             assert np.array_equal(got.best_params, want.best_params)
             assert got.best_value == want.best_value
             assert got.n_evaluations == want.n_evaluations
