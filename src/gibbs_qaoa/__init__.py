@@ -10,7 +10,6 @@ from .ising import (
     InstanceError,
     InstanceFormatError,
     IsingInstance,
-    classical_energy,
     energy_table,
     gibbs_amplitudes,
     gibbs_distribution,

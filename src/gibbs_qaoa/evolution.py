@@ -42,9 +42,9 @@ from .operators import build_sbo, sbo_eigendecomposition
 # (n = 14, no fields) in blocks.
 FUSED_MAX_SPINS = 7
 
-# Spins of the block step's lowest group, the pair block (16 x 16 on the
-# float view), and the widest group above it (16 x 16).
-_PAIR_SPINS = 3
+# Spins of the block step's widest block, 16 x 16. The pair block at the
+# lowest bits takes one spin fewer: its rows of the float view also hold each
+# amplitude's real/imaginary pair, so it is 16 x 16 too.
 _BLOCK_SPINS = 4
 
 # Bytes of the phase tables (cost and mixer, p K width complex numbers each
@@ -121,7 +121,7 @@ class CircuitSimulator:
     so with U = diag(i^popcount(x)) the mixer is U R(beta)^(x)m U^H on m
     carried bits. The step carries phi = U^H c as one complex array across
     all layers. R(beta)^(x)m acts on its float view, where real and
-    imaginary parts interleave, as real blocks: the lowest _PAIR_SPINS
+    imaginary parts interleave, as real blocks: the lowest _BLOCK_SPINS - 1
     spins as one pair block, kron(R^T, I2), that rows of the view multiply,
     and the bits above in groups of at most _BLOCK_SPINS spins, on views of
     two buffers laid out once per run (see _block_views). U^H of one layer
@@ -182,7 +182,7 @@ class CircuitSimulator:
         """
         if self._eig is None or not self.sector:
             return self._eig
-        return EigenDecomposition(self._eig.eigenvalues, _embed(self._eig.eigenvectors, axis=0))
+        return EigenDecomposition(self._eig.eigenvalues, _embed(self._eig.eigenvectors.T).T)
 
     def _run(self, gammas, betas) -> np.ndarray:
         """Final state of a schedule, as coefficients in the cost eigenbasis.
@@ -198,23 +198,21 @@ class CircuitSimulator:
         shape = gammas.shape
         if shape != betas.shape:
             raise ValueError("schedule gamma/beta lengths differ")
-        # One start row per schedule, as real pairs x and their complex view c.
-        x = np.empty((*shape[1:], self._c0.size, 2))
-        c = _complex(x)
-        c[...] = self._c0
+        # One row per schedule in c, and as many in d for the products.
+        c = np.empty((*shape[1:], self._c0.size), complex)
+        d = np.empty_like(c)
         # Per layer the phase tables take at most 2 c.nbytes: the cost table
         # beside its level table, then beside the mixer table. A Ramp also
         # holds up to four level rows: its first layer, omega and two powers.
         fit = (_PHASE_TABLE_BYTES // c.nbytes - 4) // 2
-        chunk = 1 << max(0, fit.bit_length() - 1)
+        chunk = 1 << (max(fit, 1).bit_length() - 1)
         if self._b is not None:
-            y = np.empty_like(x)
+            c[...] = self._c0
             for start in range(0, shape[0], chunk):
-                self._transform_layers(x, y, gammas, betas, start, start + chunk)
+                self._transform_layers(c, d, gammas, betas, start, start + chunk)
             return c
         # The block step carries phi = U^H c, on views of c and d laid out
         # here: a layer ends in `out`, so the start goes there, and begins in c.
-        d = np.empty_like(c)
         ((x, y), *above), out = _block_views(c, d, self._groups)
         out[...] = self._c0
         scratch, index = d if out is c else c, self._cost_levels[1]
@@ -241,10 +239,10 @@ class CircuitSimulator:
                     out += scratch
         return out * self._u
 
-    def _transform_layers(self, x, y, gammas, betas, start, stop) -> None:
-        """Layers start .. stop - 1 of the transform step on the real pairs x,
-        with y as scratch. The phase tables of these layers live for this call
-        only.
+    def _transform_layers(self, c, d, gammas, betas, start, stop) -> None:
+        """Layers start .. stop - 1 of the transform step on the complex rows
+        c, with d as scratch. The phase tables of these layers live for this
+        call only.
 
         One schedule (1-D angles, Ramps of scalar rows or a batch of one row)
         takes its products by np.dot on the (width, 2) pairs: the dgemm that
@@ -255,7 +253,7 @@ class CircuitSimulator:
         # faster call). No product is taken in place: a complex product of
         # length 1 rounds differently in place, which would part a batched
         # row from its solo run at one carried amplitude.
-        c, d = _complex(x), _complex(y)
+        x, y = _pairs(c), _pairs(d)
         b, bt = self._b, self._b.T
         product = np.matmul
         if c.size == len(b):
@@ -299,9 +297,9 @@ class CircuitSimulator:
 
 def _spin_groups(m: int) -> list[int]:
     """Spins per group of m bits, lowest first: the pair block's (at most
-    _PAIR_SPINS), then near-equal groups of at most _BLOCK_SPINS, larger
-    first (13 -> 3, 4, 3, 3)."""
-    low = min(m, _PAIR_SPINS)
+    _BLOCK_SPINS - 1), then near-equal groups of at most _BLOCK_SPINS,
+    larger first (13 -> 3, 4, 3, 3)."""
+    low = min(m, _BLOCK_SPINS - 1)
     count = -(-(m - low) // _BLOCK_SPINS)
     return [low] + [(m - low + count - 1 - i) // count for i in range(count)]
 
@@ -365,11 +363,10 @@ def _top_spin_factors(cos_b, sin_b) -> tuple[np.ndarray, np.ndarray]:
     return fold, sin_b / fold
 
 
-def _embed(u: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Computational-basis amplitudes [u, reversed(u)]/sqrt(2) of even-sector
-    coefficients along `axis`: the last for a state or a stack of state
-    rows, 0 for a matrix of column vectors."""
-    return np.concatenate((u, np.flip(u, axis)), axis) * np.sqrt(0.5)
+def _embed(u: np.ndarray) -> np.ndarray:
+    """Computational-basis amplitudes [u, reversed(u)]/sqrt(2) of the
+    even-sector coefficients u of a state, or of each row of a stack."""
+    return np.concatenate((u, u[..., ::-1]), -1) * np.sqrt(0.5)
 
 
 def _hadamard_rows(n: int, even: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -51,8 +52,9 @@ class IsingInstance:
                 f"spin count {self.n} exceeds the enumeration limit {MAX_SPINS}"
             )
         for (i, j) in self.couplings:
-            if not (1 <= i < j <= self.n):
-                raise InstanceError(f"coupling pair ({i}, {j}) out of range for n={self.n}")
+            if not (isinstance(i, Integral) and isinstance(j, Integral) and 1 <= i < j <= self.n):
+                raise InstanceError(f"coupling pair ({i!r}, {j!r}) needs integer spin "
+                                    f"indices 1 <= i < j <= {self.n}")
         if not self.fields:
             object.__setattr__(self, "fields", (0.0,) * self.n)
         if len(self.fields) != self.n:
@@ -114,17 +116,6 @@ def spin_table(n: int) -> np.ndarray:
     """(2**n, n) array of spin eigenvalues, row = basis index."""
     idx = np.arange(1 << n, dtype=np.int64)
     return np.where((idx[:, None] >> np.arange(n)) & 1, 1.0, -1.0)
-
-
-def classical_energy(inst: IsingInstance, index: int) -> float:
-    """Energy of one basis state. Exact for integer-valued instances."""
-    s = spins_of(index, inst.n)
-    e = 0.0
-    for (i, j), v in inst.couplings.items():
-        e -= v * s[i - 1] * s[j - 1]
-    for i, h in enumerate(inst.fields):
-        e -= h * s[i]
-    return e
 
 
 def energy_table(inst: IsingInstance) -> np.ndarray:

@@ -61,10 +61,11 @@ class PowellOptions:
 
 @dataclass
 class OptResult:
+    """Where a search ended and why; it converged if it stopped by ftol."""
+
     best_params: np.ndarray
     best_value: float
     n_evaluations: int
-    converged: bool
     # Why the search ended: "ftol", "max_evaluations", "max_iterations" or
     # "time_budget".
     stop: str
@@ -73,6 +74,10 @@ class OptResult:
     # row order (whose own `starts` are empty), and the winner's row.
     starts: list[OptResult] = field(default_factory=list, repr=False)
     winner: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "ftol"
 
 
 def _bracket(xa: float, xb: float):
@@ -269,7 +274,6 @@ def _powell(x, opts: PowellOptions, deadline: float | None):
         best_params=x,
         best_value=fval,
         n_evaluations=ncalls,
-        converged=stop == "ftol",
         stop=stop,
         trace=trace,
     )
@@ -297,8 +301,9 @@ def powell_minimize(func, x0, options: PowellOptions | None = None,
         raise ValueError(f"wall-clock budget must be >= 0 seconds, got {time_budget!r}")
     deadline = None if time_budget is None else time.perf_counter() + time_budget
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2:
-        raise ValueError(f"starting points must be the rows of a 2-D array, got shape {x0.shape}")
+    if x0.ndim != 2 or not len(x0):
+        raise ValueError(f"starting points must be one or more rows of a 2-D array, "
+                         f"got shape {x0.shape}")
 
     searches = [_powell(x.copy(), opts, deadline) for x in x0]
     pending = {i: next(s) for i, s in enumerate(searches)}

@@ -43,18 +43,21 @@ class QaoaProblem:
         self.simulator = CircuitSimulator(inst, kind)
         self._k = np.arange(1, p + 1) / p
 
-    def schedule(self, params) -> tuple[np.ndarray, np.ndarray]:
-        """Per-layer (gammas, betas) of a parameter vector.
+    def schedule(self, params) -> tuple:
+        """What the simulator runs for a parameter vector: (gammas, betas).
 
-        Full scheme: the 2p angles, gammas first. Linearized scheme:
-        (gamma slope, gamma intercept, beta slope, beta intercept), with
-        gamma_k = slope * k/p + intercept and likewise for beta. A (K, dims)
-        array of K parameter vectors gives angles of shape (p, K).
-        """
+        Full scheme: the 2p angles, gammas first, of shape (p, K) for a
+        (K, 2p) array. Linearized scheme: (gamma slope, gamma intercept,
+        beta slope, beta intercept), gamma_k = slope * k/p + intercept for
+        k = 1 .. p and likewise beta, as two Ramps of first angle slope/p +
+        intercept and step slope/p, with (K,) rows for a (K, 4) array."""
         params = self._checked(params)
         if self.scheme == "full":
             return params[..., : self.p].T, params[..., self.p:].T
-        return self._ramp(params)
+        steps = params[..., 0::2] / self.p  # gamma and beta slopes over p
+        firsts = steps + params[..., 1::2]
+        return (Ramp(firsts[..., 0], steps[..., 0], self.p),
+                Ramp(firsts[..., 1], steps[..., 1], self.p))
 
     def _checked(self, params) -> np.ndarray:
         """Parameters as floats, after checking their count against the scheme."""
@@ -68,32 +71,20 @@ class QaoaProblem:
         return params
 
     def _ramp(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The linearized schedule of (..., 4) slopes and intercepts."""
+        """The angles, of shape (p, ...), of (..., 4) slopes and intercepts."""
         return (np.multiply.outer(self._k, lines[..., 0]) + lines[..., 1],
                 np.multiply.outer(self._k, lines[..., 2]) + lines[..., 3])
-
-    def _circuit(self, params) -> tuple:
-        """What the simulator runs for a parameter vector: the schedule's
-        angles, or for the linearized scheme two Ramps, first angle slope/p +
-        intercept and step slope/p, with no p x K angle arrays."""
-        if self.scheme == "full":
-            return self.schedule(params)
-        lines = self._checked(params)
-        steps = lines[..., 0::2] / self.p  # gamma and beta slopes over p
-        firsts = steps + lines[..., 1::2]
-        return (Ramp(firsts[..., 0], steps[..., 0], self.p),
-                Ramp(firsts[..., 1], steps[..., 1], self.p))
 
     def objective(self, params):
         """Objective of a parameter vector, or the K values of a (K, dims) array.
         Linearized parameters run as Ramps, which agree with their angles to
         rounding, about 1e-11 at p = 100 and cost angles near MAX_INIT_SCALE."""
-        return self.simulator.objective_angles(*self._circuit(params))
+        return self.simulator.objective_angles(*self.schedule(params))
 
     def probabilities(self, params) -> np.ndarray:
         """Measurement distribution of the final state of a parameter vector,
         from the same propagation as `objective`."""
-        return self.simulator.probabilities(self._circuit(params))
+        return self.simulator.probabilities(self.schedule(params))
 
     def starts(self) -> np.ndarray:
         """The deterministic starting points of optimize_qaoa, one per row

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbs_qaoa import evolution
 from gibbs_qaoa.eigensolver import eigh
 from gibbs_qaoa.evolution import (
     _PHASE_TABLE_BYTES,
@@ -177,7 +178,7 @@ class TestMixer:
             w, d = _hadamard_rows(n, even=False)
             assert np.allclose(w.T @ np.diag(d) @ w, densified_mixer(n), atol=1e-12)
             w, d = _hadamard_rows(n, even=True)
-            e = _embed(np.eye(1 << (n - 1)), axis=0)  # columns e_x
+            e = _embed(np.eye(1 << (n - 1))).T  # columns e_x
             assert np.allclose(w.T @ np.diag(d) @ w, e.T @ densified_mixer(n) @ e, atol=1e-12)
 
 
@@ -307,10 +308,42 @@ class TestRunCircuit:
         assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_one_hot_distribution(self):
-        psi = np.zeros(8, dtype=complex)
-        psi[5] = 1.0
-        probs = np.abs(psi) ** 2
-        assert probs[5] == 1.0 and probs.sum() == 1.0
+        # One spin, field 1: the cost phase at gamma = pi/4 turns |+> into
+        # (e^(-i pi/4) |0> + e^(i pi/4) |1>)/sqrt(2), which the mixer at
+        # beta = +-pi/4, (I -+ i X)/sqrt(2), takes to one basis state.
+        sim = CircuitSimulator(IsingInstance(n=1, fields=(1.0,)), CostKind.classical())
+        for beta, expected in ((np.pi / 4, [1.0, 0.0]), (-np.pi / 4, [0.0, 1.0])):
+            probs = sim.probabilities(([np.pi / 4], [beta]))
+            assert np.abs(probs - expected).max() <= 1e-15
+
+    # A state whose own bytes fill the table budget has no room for a second
+    # layer's tables: every chunk is one layer, for angle arrays and Ramps, on
+    # the transform step (the toy) and the block step (chain9), and each row
+    # keeps the bits of its solo run.
+    @pytest.mark.parametrize("inst", [
+        toy_instance(), IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)})],
+        ids=["toy", "chain9"])
+    def test_state_at_the_byte_budget_takes_one_layer_a_chunk(self, inst, monkeypatch):
+        sim = CircuitSimulator(inst, CostKind.classical())
+        rng = np.random.default_rng(11)
+        gammas, betas = rng.uniform(-1, 1, (2, 6, 3))
+        (g1, dg), (b1, db) = rng.uniform(-1, 1, (2, 2, 3))
+        schedules = [(gammas, betas), (Ramp(g1, dg, 6), Ramp(b1, db, 6))]
+        solo = [[sim.run_angles(gammas[:, k], betas[:, k]) for k in range(3)],
+                [sim.run_angles(Ramp(g1[k], dg[k], 6), Ramp(b1[k], db[k], 6)) for k in range(3)]]
+        spans, table = [], evolution._level_table
+
+        def level_table(angles, levels, start, stop):
+            spans.append(min(stop, len(angles)) - start)
+            return table(angles, levels, start, stop)
+
+        monkeypatch.setattr(evolution, "_PHASE_TABLE_BYTES", 3 * sim.cost_eigs.size * 16)
+        monkeypatch.setattr(evolution, "_level_table", level_table)
+        for schedule, rows in zip(schedules, solo):
+            out = sim.run_angles(*schedule)
+            for k, row in enumerate(rows):
+                assert np.array_equal(out[k], row)
+        assert spans and set(spans) == {1}
 
 
 class TestSboPhase:
@@ -387,7 +420,7 @@ class TestSboPhase:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            state_buffers = 2 * 48 * sim.cost_eigs.size * 16  # the pairs x and y of _run
+            state_buffers = 2 * 48 * sim.cost_eigs.size * 16  # the rows c and d of _run
             assert peak <= _PHASE_TABLE_BYTES + state_buffers
             for k in (0, 23, 47):
                 assert np.array_equal(out[k], solo(k))
@@ -515,10 +548,10 @@ def test_ramps_match_angle_path_and_dense_reference(n):
                 lines = np.column_stack([rng.uniform(-0.5, 0.5, (3, 2)) * MAX_INIT_SCALE,
                                          rng.uniform(-np.pi, np.pi, (3, 2))])
                 values = problem.objective(lines)
-                by_angles = problem.simulator.objective_angles(*problem.schedule(lines))
+                by_angles = problem.simulator.objective_angles(*problem._ramp(lines))
                 assert np.abs(values - by_angles).max() <= 1e-10
                 psi = plus_state(n)
-                for g, b in zip(*problem.schedule(lines[0])):
+                for g, b in zip(*problem._ramp(lines[0])):
                     if vc is None:
                         psi = np.exp(-1j * g * wc) * psi
                     else:

@@ -9,7 +9,6 @@ from gibbs_qaoa.ising import (
     InstanceError,
     InstanceFormatError,
     IsingInstance,
-    classical_energy,
     energy_table,
     flip_all,
     gibbs_amplitudes,
@@ -26,6 +25,18 @@ from gibbs_qaoa.operators import build_sbo
 
 GIBBS_PGS_T1 = 0.83591216711007  # 6 / (6 + 8e^-2 + 4e^-4 + 8e^-6 + 6e^-8)
 GIBBS_Z_T1 = 391.89392508953597
+
+
+def classical_energy(inst: IsingInstance, index: int) -> float:
+    """Energy of one basis state, spin by spin: the reference that
+    energy_table is checked against. Exact for integer-valued instances."""
+    s = spins_of(index, inst.n)
+    e = 0.0
+    for (i, j), v in inst.couplings.items():
+        e -= v * s[i - 1] * s[j - 1]
+    for i, h in enumerate(inst.fields):
+        e -= h * s[i]
+    return e
 
 
 def test_bit_convention():
@@ -48,6 +59,16 @@ def test_instance_validation():
         IsingInstance(n=2, couplings={(1, 2): float("nan")})
     with pytest.raises(InstanceError, match="non-finite"):
         IsingInstance(n=2, fields=(float("inf"), 0.0))
+
+
+def test_coupling_indices_must_be_integers():
+    # a float index would pass the range check and fail later as a bare
+    # IndexError in energy_table; numpy integers are integers
+    for pair in [(1, 2.0), (1.0, 2), (np.float64(1), 3)]:
+        with pytest.raises(InstanceError, match="integer spin indices"):
+            IsingInstance(n=3, couplings={pair: 1.0})
+    inst = IsingInstance(n=3, couplings={(np.int64(1), np.int32(2)): 1.0})
+    assert energy_table(inst).tolist() == energy_table(IsingInstance(3, {(1, 2): 1.0})).tolist()
 
 
 @pytest.mark.parametrize("couplings, fields", [

@@ -17,13 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gibbs_qaoa"
 
 # Public names kept without a non-test caller, each with its reason.
-ALLOWED = {
-    "ising.classical_energy": "the one-state reference that tests compare energy_table against",
-}
+ALLOWED: dict[str, str] = {}
 
 # Dataclass fields kept without a non-test reader, each with its reason.
 ALLOWED_FIELDS = {
-    "powell.OptResult.stop": "why a start ended; the sweep records are to carry it",
     "powell.OptResult.trace": "objective per cycle; acceptance criterion 9 checks it never rises",
     "powell.OptResult.winner": "which start won; the sweep records are to carry it",
 }

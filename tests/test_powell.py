@@ -221,7 +221,7 @@ class TestLockstep:
         with pytest.raises(ValueError, match=str(budget)):
             powell_minimize(rows(rosenbrock), np.array([[-1.2, 1.0]]), time_budget=budget)
 
-    @pytest.mark.parametrize("x0", [[-1.2, 1.0], 0.5, [[[0.0]]]])
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], 0.5, [[[0.0]]], np.empty((0, 2))])
     def test_starts_must_be_rows(self, x0):
         with pytest.raises(ValueError, match="2-D"):
             powell_minimize(rows(rosenbrock), x0)

@@ -15,7 +15,7 @@ from gibbs_qaoa.variational import QaoaProblem, optimize_qaoa
 def linearized(params, p):
     """(gammas, betas) of a linearized parameter vector at depth p, as tuples."""
     problem = QaoaProblem(toy_instance(), CostKind.classical(), "linearized", p)
-    return tuple(map(tuple, problem.schedule(params)))
+    return tuple(map(tuple, problem._ramp(np.asarray(params))))
 
 
 def battery(kind, inst=None):
@@ -81,6 +81,10 @@ class TestSchedules:
         assert tuple(gammas) == (0.1, 0.2)
         assert tuple(betas) == (0.3, 0.4)
         assert linearized([1.0, 0.0, -1.0, 1.0], 2) == annealing_ramp(2)
+        # the linearized scheme runs Ramps: layer k = 0 .. p - 1 takes first + k step
+        ramps = QaoaProblem(toy_instance(), CostKind.classical(), "linearized", 4).schedule(
+            [2.0, 1.0, 0.0, -0.2])
+        assert [(r.first, r.step, r.layers) for r in ramps] == [(1.5, 0.5, 4), (-0.2, 0.0, 4)]
 
     # On the toy (alpha = 4), T = 0.5, 1, 2 give the scales e^8, e^4 and e^2.
     @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -96,7 +100,7 @@ class TestSchedules:
         assert np.array_equal(full.starts(), [scaled, ramp])
         lin = QaoaProblem(toy_instance(), kind, "linearized", p)
         for start, image in zip(full.starts(), [(kappa, 0.0, -1.0, 1.0), (1.0, 0.0, -1.0, 1.0)]):
-            assert np.array_equal(np.concatenate(lin.schedule(image)), start)
+            assert np.array_equal(np.concatenate(lin._ramp(np.array(image))), start)
 
 
 class TestObjective:
@@ -175,7 +179,7 @@ class TestOptimizeQaoa:
         inst = toy_instance()
         kind = CostKind.classical()
         lin = optimize_qaoa(inst, kind, "linearized", 3)
-        schedule = QaoaProblem(inst, kind, "linearized", 3).schedule(lin.result.best_params)
+        schedule = QaoaProblem(inst, kind, "linearized", 3)._ramp(lin.result.best_params)
         problem = QaoaProblem(inst, kind, "full", 3)
         warm = powell_minimize(problem.objective, np.concatenate(schedule)[None], PowellOptions())
         assert warm.best_value <= lin.result.best_value + 1e-9
@@ -190,7 +194,8 @@ class TestOptimizeQaoa:
         best = out.result.best_params
         assert problem.objective(best) == out.result.best_value
         assert np.array_equal(problem.probabilities(best), out.distribution)
-        by_angles = problem.simulator.probabilities(problem.schedule(best))
+        angles = problem.schedule(best) if scheme == "full" else problem._ramp(best)
+        by_angles = problem.simulator.probabilities(angles)
         assert np.abs(out.distribution - by_angles).max() <= 1e-12
 
     def test_full_battery_is_single_start(self):
