@@ -262,16 +262,13 @@ class MissingPanelData(ValueError):
 
 
 def _fig2_rows(records, method, scheme):
-    rows = []
-    for r in records:
-        if r.method != method or r.scheme != scheme:
-            continue
-        if method == "sbo" and r.temperature != FIG2_SBO_TEMPERATURE:
-            continue
-        if len(r.orbit_probs) != 3:
-            raise MissingPanelData("ground-probability panels need exactly 3 orbits")
-        rows.append((r.p, *r.orbit_probs, r.p_gs))
-    rows.sort()
+    rows = sorted((r.p, *r.orbit_probs, r.p_gs) for r in records
+                  if r.method == method and r.scheme == scheme
+                  and (method != "sbo" or r.temperature == FIG2_SBO_TEMPERATURE))
+    if len({len(row) for row in rows}) > 1:
+        raise MissingPanelData("records differ in their number of flip orbits")
+    if rows and len(rows[0]) == 2:
+        raise MissingPanelData("ground-probability panels need flip orbits (no fields)")
     return rows
 
 
@@ -307,8 +304,9 @@ def emit_fig_data(records: list[SweepRecord], figure: str, out_dir, svg: bool = 
             rows = _fig2_rows(records, method, scheme)
             if not rows:
                 raise MissingPanelData(f"fig2({panel}): no records for {method}/{scheme}")
-            panels.append((f"fig2{panel}", "# p P_1 P_2 P_3 P_GS", rows,
-                           ["P_1", "P_2", "P_3", "P_GS"], f"fig2({panel}) {method} {scheme}"))
+            labels = [*(f"P_{i}" for i in range(1, len(rows[0]) - 1)), "P_GS"]
+            panels.append((f"fig2{panel}", "# p " + " ".join(labels), rows, labels,
+                           f"fig2({panel}) {method} {scheme}"))
     elif figure == "fig3":
         temps = sorted({r.temperature for r in records
                         if r.method == "sbo" and r.tvd is not None})

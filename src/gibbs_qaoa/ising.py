@@ -179,18 +179,13 @@ def ground_set(inst: IsingInstance) -> GroundSet:
 
 
 def _flip_orbits(states: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
-    remaining = set(states)
-    reps = []
-    while remaining:
-        a = min(remaining)
-        b = flip_all(a, n)
-        if b not in remaining:
-            raise AssertionError(
-                f"state {a} lacks its global-flip partner in the ground set"
-            )
-        remaining.discard(a)
-        remaining.discard(b)
-        reps.append(a if a & 1 else b)  # the spin-1-up member
+    present = set(states)
+    reps = [a for a in states if a & 1]  # the spin-1-up member of each pair
+    for a in reps:
+        if flip_all(a, n) not in present:
+            raise AssertionError(f"state {a} lacks its global-flip partner in the ground set")
+    if 2 * len(reps) != len(states):
+        raise AssertionError("a spin-1-down state lacks its global-flip partner in the ground set")
     # Most-aligned orbit first: descending spin strings (spin 1 leftmost).
     reps.sort(key=lambda r: spins_of(r, n), reverse=True)
     return tuple((r, flip_all(r, n)) for r in reps)
@@ -264,17 +259,20 @@ def toy_ground_states() -> tuple[int, ...]:
 # --- instance file I/O -------------------------------------------------------
 
 
+# Per entry directive: its usage and what its value is.
+_ENTRIES = {"j": ("j <i> <j> <real>", "coupling"), "h": ("h <i> <real>", "field")}
+
+
 def parse_instance(text: str) -> IsingInstance:
     """Parse the line-oriented instance format.
 
-    Directives: `n <int>` (exactly once, first), `j <i> <j> <real>` with
-    i < j (at most once per pair), `h <i> <real>` (at most once per spin).
-    `#` starts a comment that runs to the end of its line; blank lines are
-    ignored. Errors carry line numbers.
+    Directives (case-insensitive): `n <int>` (exactly once, first),
+    `j <i> <j> <real>` with i < j (at most once per pair), `h <i> <real>`
+    (at most once per spin). `#` starts a comment that runs to the end of
+    its line; blank lines are ignored. Errors carry line numbers.
     """
     n = None
-    couplings: dict[tuple[int, int], float] = {}
-    fields: dict[int, float] = {}
+    entries: dict[str, dict[tuple[int, ...], float]] = {kind: {} for kind in _ENTRIES}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -294,50 +292,37 @@ def parse_instance(text: str) -> IsingInstance:
                 raise InstanceFormatError(
                     lineno, f"spin count must be in [1, {MAX_SPINS}], got {n}"
                 )
-        elif kind == "j":
-            if n is None:
-                raise InstanceFormatError(lineno, "n must come before j lines")
-            if len(tokens) != 4:
-                raise InstanceFormatError(lineno, "expected: j <i> <j> <real>")
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-                v = float(tokens[3])
-            except ValueError:
-                raise InstanceFormatError(lineno, f"bad j line {line!r}") from None
-            if not math.isfinite(v):
-                raise InstanceFormatError(lineno, f"non-finite coupling {tokens[3]!r}")
-            if i == j:
-                raise InstanceFormatError(lineno, f"self-coupling ({i}, {j}) not allowed")
-            if not (1 <= i < j <= n):
-                raise InstanceFormatError(
-                    lineno, f"pair ({i}, {j}) out of range (need 1 <= i < j <= {n})"
-                )
-            if (i, j) in couplings:
-                raise InstanceFormatError(lineno, f"duplicate coupling pair ({i}, {j})")
-            couplings[(i, j)] = v
-        elif kind == "h":
-            if n is None:
-                raise InstanceFormatError(lineno, "n must come before h lines")
-            if len(tokens) != 3:
-                raise InstanceFormatError(lineno, "expected: h <i> <real>")
-            try:
-                i = int(tokens[1])
-                v = float(tokens[2])
-            except ValueError:
-                raise InstanceFormatError(lineno, f"bad h line {line!r}") from None
-            if not math.isfinite(v):
-                raise InstanceFormatError(lineno, f"non-finite field {tokens[2]!r}")
-            if not (1 <= i <= n):
-                raise InstanceFormatError(lineno, f"spin index {i} out of range")
-            if i in fields:
-                raise InstanceFormatError(lineno, f"duplicate field for spin {i}")
-            fields[i] = v
-        else:
+            continue
+        if kind not in _ENTRIES:
             raise InstanceFormatError(lineno, f"unknown directive {tokens[0]!r}")
+        if n is None:
+            raise InstanceFormatError(lineno, f"n must come before {kind} lines")
+        usage, what = _ENTRIES[kind]
+        names = usage.split()[1:-1]  # the index placeholders, "<i>" or "<i> <j>"
+        if len(tokens) != len(names) + 2:
+            raise InstanceFormatError(lineno, f"expected: {usage}")
+        try:
+            at = tuple(int(t) for t in tokens[1:-1])
+            v = float(tokens[-1])
+        except ValueError:
+            raise InstanceFormatError(lineno, f"bad {kind} line {line!r}") from None
+        if not math.isfinite(v):
+            raise InstanceFormatError(lineno, f"non-finite {what} {tokens[-1]!r}")
+        where = ", ".join(map(str, at))
+        if len(set(at)) != len(at):
+            raise InstanceFormatError(lineno, f"self-coupling ({where}) not allowed")
+        if not all(a < b for a, b in zip((0, *at), (*at, n + 1))):
+            bound = " < ".join(name.strip("<>") for name in names)
+            raise InstanceFormatError(
+                lineno, f"{what} at ({where}) out of range (need 1 <= {bound} <= {n})"
+            )
+        if at in entries[kind]:
+            raise InstanceFormatError(lineno, f"duplicate {what} at ({where})")
+        entries[kind][at] = v
     if n is None:
         raise InstanceFormatError(0, "missing n directive")
-    h = tuple(fields.get(i, 0.0) for i in range(1, n + 1))
-    return IsingInstance(n=n, couplings=couplings, fields=h)
+    h = tuple(entries["h"].get((i,), 0.0) for i in range(1, n + 1))
+    return IsingInstance(n=n, couplings=entries["j"], fields=h)
 
 
 def load_instance(path) -> IsingInstance:

@@ -285,6 +285,9 @@ class TestReproduceFigures:
     @pytest.mark.parametrize("script_args, sweep_args", [
         (["--quick"], ["--depths", "1", "3", "10", "32", "100"]),
         (["--budget-s", "30", "--workers", "2"], ["--budget-s", "30", "--workers", "2"]),
+        # flags the script does not own go to the sweep unchanged
+        (["--max-evaluations", "5", "--temperatures", "1"],
+         ["--max-evaluations", "5", "--temperatures", "1"]),
     ])
     def test_runs_the_cli_sweep(self, monkeypatch, tmp_path, script_args, sweep_args):
         spec = importlib.util.spec_from_file_location(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -249,6 +250,27 @@ class TestFigureData:
             emit_fig_data(only_qaoa, "fig2", tmp_path)
         with pytest.raises(MissingPanelData):
             emit_fig_data(only_qaoa, "fig3", tmp_path)
+
+    def test_panels_take_any_orbit_count(self, tmp_path):
+        # no couplings on 3 spins: all 8 states are ground states, in 4 flip orbits
+        cfg = fast_config(instance=IsingInstance(n=3), depths=(1,), point_budget_s=None,
+                          optimizer=PowellOptions(max_evaluations=50))
+        records, failures = run_sweep(cfg)
+        assert not failures
+        emit_fig_data(records, "fig2", tmp_path, svg=True)
+        assert (tmp_path / "fig2a.dat").read_text().splitlines()[0] == "# p P_1 P_2 P_3 P_4 P_GS"
+        assert "P_4" in (tmp_path / "fig2a.svg").read_text()
+
+    def test_panels_need_one_orbit_count(self, small_table, tmp_path):
+        # a field leaves no flip orbits; one panel cannot mix orbit counts
+        no_orbits = [dataclasses.replace(r, orbit_probs=()) for r in small_table]
+        with pytest.raises(MissingPanelData, match="need flip orbits"):
+            emit_fig_data(no_orbits, "fig2", tmp_path)
+        for extra in (no_orbits[0], dataclasses.replace(
+                small_table[0], p=3, orbit_probs=(*small_table[0].orbit_probs, 0.0))):
+            with pytest.raises(MissingPanelData, match="differ"):
+                emit_fig_data([*small_table, extra], "fig2", tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_figure(self, small_table, tmp_path):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ class TestGroundSet:
         assert gs.e0 == -1.0
         assert gs.states == (0, 3)
         assert gs.orbits == ((3, 0),)
+
+    def test_orbits_of_sixteen_free_spins(self):
+        # every state is a ground state: 32,768 flip orbits, paired in one pass
+        start = time.perf_counter()
+        gs = ground_set(IsingInstance(n=16))
+        elapsed = time.perf_counter() - start
+        reps = sorted(range(1, 1 << 16, 2), key=lambda r: spins_of(r, 16), reverse=True)
+        assert gs.orbits == tuple((r, r ^ 0xFFFF) for r in reps)
+        assert elapsed < 5.0
 
     def test_non_ground_energies_strictly_above(self):
         inst = toy_instance()
@@ -294,6 +304,9 @@ class TestParseErrors:
         inst = parse_instance("n 2\nj 1 2 1.0\n")
         assert inst == IsingInstance(n=2, couplings={(1, 2): 1.0})
 
+    def test_directives_are_case_insensitive(self):
+        assert parse_instance("N 2\nJ 1 2 1") == IsingInstance(n=2, couplings={(1, 2): 1.0})
+
     def test_toy_round_trip(self):
         text = """# the built-in 5-spin benchmark
 n 5
@@ -323,6 +336,14 @@ j 2 4 -1
             ("n 2\nj 1 2 nan", 2, "non-finite coupling"),
             ("n 2\nh 1 inf", 2, "non-finite field"),
             ("n 2\nj 1 2 1e999", 2, "non-finite coupling"),
+            ("n 0", 1, "spin count must be in"),
+            ("n 21", 1, "spin count must be in"),
+            ("n x", 1, "bad spin count"),
+            ("n 2\nj 1 2 x", 2, "bad j line"),
+            ("n 2\nj 1.5 2 1", 2, "bad j line"),
+            ("n 2\nh x 1", 2, "bad h line"),
+            ("n 2\nj 2 1 1.0", 2, "out of range"),
+            ("n 2\nh 1 2 3", 2, "expected"),
         ],
     )
     def test_error_carries_line_number(self, text, lineno, what):
