@@ -38,6 +38,10 @@ CHECK_FAILURE = 2
 KERNEL_TOL_TOY = 1e-10
 EIGENVALUE_TOL = 1e-10
 
+# verify-instance lists this many ground states and flip pairs, then a count
+# of the rest: 16 free spins have 65,536 ground states.
+LISTED = 8
+
 
 class _ParseError(Exception):
     """Arguments a parser rejects, as args (parser, message)."""
@@ -196,12 +200,14 @@ def cmd_verify_instance(args) -> int:
     print(f"instance: {label} (n={inst.n}, {len(inst.couplings)} couplings)")
     print(f"E0 = {gs.e0:g}")
     print(f"ground states ({gs.degeneracy}):")
-    for s in gs.states:
+    for s in gs.states[:LISTED]:
         print(f"  {s:>3d}  |{index_to_ket(s, inst.n)}>")
+    _print_unlisted(gs.degeneracy)
     if gs.orbits is not None:
         print(f"flip orbits: {len(gs.orbits)}")
-        for i, (a, b) in enumerate(gs.orbits, start=1):
+        for i, (a, b) in enumerate(gs.orbits[:LISTED], start=1):
             print(f"  pair {i}: |{index_to_ket(a, inst.n)}>, |{index_to_ket(b, inst.n)}>")
+        _print_unlisted(len(gs.orbits))
     if args.toy:
         expected_states = tuple(sorted(toy_ground_states()))
         ok = gs.e0 == -4.0 and gs.states == expected_states and len(gs.orbits) == 3
@@ -209,6 +215,11 @@ def cmd_verify_instance(args) -> int:
               f"{'PASS' if ok else 'FAIL'}")
         return 0 if ok else CHECK_FAILURE
     return 0
+
+
+def _print_unlisted(count: int) -> None:
+    if count > LISTED:
+        print(f"  ... and {count - LISTED} more")
 
 
 def cmd_gibbs(args) -> int:

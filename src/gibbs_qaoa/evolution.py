@@ -198,6 +198,8 @@ class CircuitSimulator:
         shape = gammas.shape
         if shape != betas.shape:
             raise ValueError("schedule gamma/beta lengths differ")
+        if 0 in shape[1:]:
+            raise ValueError(f"a batch needs at least one schedule, got shape {shape}")
         # One row per schedule in c, and as many in d for the products.
         c = np.empty((*shape[1:], self._c0.size), complex)
         d = np.empty_like(c)

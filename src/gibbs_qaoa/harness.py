@@ -8,6 +8,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,8 @@ CSV_BASE_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's grid and settings; methods, schemes and temperatures end sorted, unique."""
+
     instance: IsingInstance
     methods: tuple[str, ...] = METHODS
     schemes: tuple[str, ...] = SCHEMES
@@ -51,32 +54,38 @@ class SweepConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
-        if not all(p >= 1 for p in self.depths):
-            raise ValueError("depths must be >= 1")
+        if not all(isinstance(p, Integral) and p >= 1 for p in self.depths):
+            raise ValueError(f"depths must be integers >= 1, got {self.depths!r}")
         if list(self.depths) != sorted(set(self.depths)):
             raise ValueError("depths must be strictly increasing")
         if not all(t > 0 for t in self.temperatures):
             raise ValueError("temperatures must be positive")
         if self.point_budget_s is not None and not self.point_budget_s >= 0.0:
             raise ValueError(f"point budget must be >= 0 seconds, got {self.point_budget_s!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+        if not (self.workers is None or isinstance(self.workers, Integral) and self.workers >= 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        for axis in ("methods", "schemes", "temperatures"):
+            object.__setattr__(self, axis, tuple(sorted(set(getattr(self, axis)))))
 
 
 @dataclass(frozen=True)
 class PointSpec:
-    method: str
-    scheme: str
-    p: int
-    temperature: float | None  # None for the classical method
+    """One grid point: the classical cost (method "qaoa") when temperature
+    is None, else the Gibbs-encoding cost H_S(T) (method "sbo") at it."""
 
-
-@dataclass(frozen=True)
-class SweepRecord:
-    method: str
     scheme: str
     p: int
     temperature: float | None
+
+    @property
+    def method(self) -> str:
+        return "qaoa" if self.temperature is None else "sbo"
+
+
+@dataclass(frozen=True)
+class SweepRecord(PointSpec):
+    """A point's measurements."""
+
     objective: float
     p_gs: float
     orbit_probs: tuple[float, ...]
@@ -90,20 +99,11 @@ class SweepRecord:
 
 def grid_points(cfg: SweepConfig) -> list[PointSpec]:
     """Deterministic evaluation order: method, scheme, temperature, depth."""
-    if not cfg.methods:
-        raise ValueError("nothing to run: empty methods set")
-    if not cfg.schemes:
-        raise ValueError("nothing to run: empty schemes set")
-    points = []
-    for method in sorted(set(cfg.methods)):
-        for scheme in sorted(set(cfg.schemes)):
-            if method == "qaoa":
-                for p in cfg.depths:
-                    points.append(PointSpec("qaoa", scheme, p, None))
-            else:
-                for t in sorted(set(cfg.temperatures)):
-                    for p in cfg.depths:
-                        points.append(PointSpec("sbo", scheme, p, t))
+    points = [PointSpec(scheme, p, t) for method in cfg.methods for scheme in cfg.schemes
+              for t in ((None,) if method == "qaoa" else cfg.temperatures)
+              for p in cfg.depths]
+    if not points:
+        raise ValueError("nothing to run: the (method, scheme, temperature, depth) grid is empty")
     return points
 
 
@@ -117,28 +117,19 @@ def run_point(cfg: SweepConfig, point: PointSpec) -> SweepRecord:
     gs = ground_set(cfg.instance)
     dist = outcome.distribution
     orbit_probs = orbit_probabilities(dist, gs) if gs.orbits is not None else ()
-    if point.method == "sbo":
-        reference = gibbs_distribution(cfg.instance, point.temperature).probabilities
-        tvd = total_variation_distance(dist, reference)
-        tvd_by_t: tuple[tuple[float, float], ...] = ()
-    else:
-        tvd = None
-        tvd_by_t = tuple(
-            (t, total_variation_distance(
-                dist, gibbs_distribution(cfg.instance, t).probabilities))
-            for t in sorted(set(cfg.temperatures))
-        )
+
+    def tvd_at(t):
+        return total_variation_distance(dist, gibbs_distribution(cfg.instance, t).probabilities)
+
+    classical = point.temperature is None
     return SweepRecord(
-        method=point.method,
-        scheme=point.scheme,
-        p=point.p,
-        temperature=point.temperature,
+        point.scheme, point.p, point.temperature,
         objective=outcome.result.best_value,
         p_gs=ground_state_probability(dist, gs),
         orbit_probs=orbit_probs,
         fairness_gap=fairness_gap(orbit_probs) if orbit_probs else 0.0,
-        tvd=tvd,
-        tvd_by_temperature=tvd_by_t,
+        tvd=None if classical else tvd_at(point.temperature),
+        tvd_by_temperature=tuple((t, tvd_at(t)) for t in cfg.temperatures) if classical else (),
         n_evaluations=outcome.total_evaluations,
         converged=outcome.result.converged,
         wall_time_s=time.perf_counter() - t0,
@@ -164,27 +155,27 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRecord], list[SweepFailure]]:
     """
     points = grid_points(cfg)
     workers = resolve_workers(cfg.workers)
-    records: dict[PointSpec, SweepRecord] = {}
+    records: list[SweepRecord] = []
     failures: list[SweepFailure] = []
+
+    def collect(point, result, *args):
+        try:
+            records.append(result(*args))
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            failures.append(SweepFailure(point, f"{type(exc).__name__}: {exc}"))
+
     if workers <= 1 or len(points) == 1:
         for point in points:
-            try:
-                records[point] = run_point(cfg, point)
-            except Exception as exc:  # noqa: BLE001 - per-point isolation
-                failures.append(SweepFailure(point, f"{type(exc).__name__}: {exc}"))
+            collect(point, run_point, cfg, point)
     else:
         # imported here: the pool module costs 12-19 ms, which a one-worker sweep never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_point, cfg, point): point for point in points}
-            for future, point in futures.items():
-                try:
-                    records[point] = future.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures.append(SweepFailure(point, f"{type(exc).__name__}: {exc}"))
-    ordered = [records[point] for point in points if point in records]
-    return ordered, failures
+            futures = [pool.submit(run_point, cfg, point) for point in points]
+            for point, future in zip(points, futures):
+                collect(point, future.result)
+    return records, failures
 
 
 # --- serialization -----------------------------------------------------------
@@ -264,7 +255,7 @@ class MissingPanelData(ValueError):
 def _fig2_rows(records, method, scheme):
     rows = sorted((r.p, *r.orbit_probs, r.p_gs) for r in records
                   if r.method == method and r.scheme == scheme
-                  and (method != "sbo" or r.temperature == FIG2_SBO_TEMPERATURE))
+                  and r.temperature in (None, FIG2_SBO_TEMPERATURE))
     if len({len(row) for row in rows}) > 1:
         raise MissingPanelData("records differ in their number of flip orbits")
     if rows and len(rows[0]) == 2:
@@ -275,16 +266,14 @@ def _fig2_rows(records, method, scheme):
 def _fig3_rows(records, scheme, temps):
     by_p: dict[int, dict[float, float]] = {}
     for r in records:
-        if r.method != "sbo" or r.scheme != scheme or r.tvd is None:
-            continue
-        by_p.setdefault(r.p, {})[r.temperature] = r.tvd
+        if r.scheme == scheme and r.tvd is not None:
+            by_p.setdefault(r.p, {})[r.temperature] = r.tvd
     rows = []
     for p in sorted(by_p):
         vals = by_p[p]
-        if set(temps) - set(vals):
-            raise MissingPanelData(
-                f"depth {p}: missing temperatures {sorted(set(temps) - set(vals))}"
-            )
+        missing = [t for t in temps if t not in vals]
+        if missing:
+            raise MissingPanelData(f"depth {p}: missing temperatures {missing}")
         rows.append((p, *[vals[t] for t in temps]))
     return rows
 
@@ -294,7 +283,8 @@ def emit_fig_data(records: list[SweepRecord], figure: str, out_dir, svg: bool = 
 
     figure "fig2": ground-manifold probabilities vs depth, panels (a)-(d).
     figure "fig3": distance to the target Gibbs distribution vs depth for
-    each temperature, panels (a)-(b). With svg=True a simple poly-line plot
+    each temperature, panels (a)-(b), its columns in the records' order of
+    temperatures (ascending for a sweep's). With svg=True a simple poly-line plot
     accompanies each data file. Raises MissingPanelData, before writing
     any file, when the records cannot fill every panel.
     """
@@ -308,8 +298,7 @@ def emit_fig_data(records: list[SweepRecord], figure: str, out_dir, svg: bool = 
             panels.append((f"fig2{panel}", "# p " + " ".join(labels), rows, labels,
                            f"fig2({panel}) {method} {scheme}"))
     elif figure == "fig3":
-        temps = sorted({r.temperature for r in records
-                        if r.method == "sbo" and r.tvd is not None})
+        temps = list(dict.fromkeys(r.temperature for r in records if r.tvd is not None))
         if not temps:
             raise MissingPanelData("no sbo records with a reference distance")
         for panel, scheme in FIG3_PANELS:

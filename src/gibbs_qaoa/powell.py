@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class PowellOptions:
     max_evaluations: int = 200_000
 
     def __post_init__(self):
-        if not self.max_evaluations >= 1:
-            raise ValueError(f"evaluation cap must be >= 1, got {self.max_evaluations!r}")
+        if not (isinstance(self.max_evaluations, Integral) and self.max_evaluations >= 1):
+            raise ValueError(
+                f"evaluation cap must be an integer >= 1, got {self.max_evaluations!r}")
 
 
 @dataclass

@@ -8,6 +8,7 @@ of k/p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class QaoaProblem:
     def __init__(self, inst: IsingInstance, kind: CostKind, scheme: str, p: int):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
-        if p < 1:
-            raise ValueError(f"depth must be >= 1, got {p}")
+        if not (isinstance(p, Integral) and p >= 1):
+            raise ValueError(f"depth must be an integer >= 1, got {p!r}")
         self.inst = inst
         self.kind = kind
         self.scheme = scheme

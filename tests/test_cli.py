@@ -40,6 +40,18 @@ class TestVerifyInstance:
         assert "E0 = -1" in out
         assert "ground states (2):" in out
 
+    def test_long_listings_are_cut(self, capsys, tmp_path):
+        # 16 free spins: 65536 ground states in 32768 flip pairs, eight of each listed
+        path = tmp_path / "free16.txt"
+        path.write_text("n 16\n")
+        code, out, _ = run_cli(capsys, "verify-instance", "--instance", str(path))
+        lines = out.splitlines()
+        assert code == 0 and len(lines) < 30
+        assert "ground states (65536):" in lines and "flip orbits: 32768" in lines
+        assert "  ... and 65528 more" in lines and "  ... and 32760 more" in lines
+        # the toy's six states and three pairs are all listed
+        assert len(run_cli(capsys, "verify-instance", "--toy")[1].splitlines()) == 14
+
 
 class TestGibbs:
     def test_toy_summary(self, capsys):

@@ -236,6 +236,19 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="lengths differ"):
             getattr(sim, entry)([0.1, 0.2, 0.3], [0.4])
 
+    # A batch of no schedules, as angle arrays of shape (p, 0) or as Ramps of
+    # (0,) rows, on the transform step (the toy) and the block step (chain9).
+    @pytest.mark.parametrize("inst", [
+        toy_instance(), IsingInstance(n=9, couplings={(i, i + 1): 1.0 for i in range(1, 9)})],
+        ids=["toy", "chain9"])
+    @pytest.mark.parametrize("entry", ["run_angles", "objective_angles"])
+    def test_empty_batch_rejected(self, entry, inst):
+        sim = CircuitSimulator(inst, CostKind.classical())
+        angles, ramp = np.zeros((3, 0)), Ramp(np.zeros(0), np.zeros(0), 3)
+        for schedule in ((angles, angles), (ramp, ramp)):
+            with pytest.raises(ValueError, match="at least one schedule"):
+                getattr(sim, entry)(*schedule)
+
     @pytest.mark.parametrize(("inst", "kind"), [
         *(pytest.param(inst, kind, id=f"{name}-kind{i}")
           for name, inst in [

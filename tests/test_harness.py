@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gibbs_qaoa import harness
@@ -54,9 +55,30 @@ class TestGrid:
         with pytest.raises(ValueError, match="nothing to run"):
             grid_points(cfg)
 
+    def test_empty_grid_rejected(self):
+        # sbo without temperatures has no points: the sweep has nothing to run
+        with pytest.raises(ValueError, match="nothing to run"):
+            grid_points(fast_config(methods=("sbo",), temperatures=()))
+
+    def test_axes_are_sorted_and_unique(self):
+        cfg = fast_config(methods=("sbo", "qaoa", "sbo"), schemes=("linearized", "full"),
+                          temperatures=(2.0, 1.0, 2.0))
+        assert cfg.temperatures == (1.0, 2.0)
+        assert (cfg.methods, cfg.schemes) == (("qaoa", "sbo"), ("full", "linearized"))
+
+    def test_integer_settings(self):
+        for bad in (dict(depths=(1.5,)), dict(workers=1.5)):
+            with pytest.raises(ValueError, match="integer"):
+                fast_config(**bad)
+        fast_config(depths=(np.int64(1), np.int64(2)), workers=np.int64(1))  # numpy integers pass
+
+    def test_method_follows_the_temperature(self):
+        assert PointSpec("full", 1, 0.5).method == "sbo"
+        assert PointSpec("full", 1, None).method == "qaoa"
+
     def test_single_point(self):
         cfg = fast_config(methods=("qaoa",), schemes=("full",), depths=(1,))
-        assert grid_points(cfg) == [PointSpec("qaoa", "full", 1, None)]
+        assert grid_points(cfg) == [PointSpec("full", 1, None)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,7 +102,8 @@ class TestGrid:
 class TestRunPoint:
     def test_sbo_record(self):
         cfg = fast_config()
-        rec = run_point(cfg, PointSpec("sbo", "linearized", 2, 1.0))
+        rec = run_point(cfg, PointSpec("linearized", 2, 1.0))
+        assert isinstance(rec, PointSpec)
         assert rec.method == "sbo" and rec.temperature == 1.0
         assert 0.0 <= rec.p_gs <= 1.0
         assert rec.tvd is not None and 0.0 <= rec.tvd <= 1.0
@@ -92,7 +115,7 @@ class TestRunPoint:
     def test_point_budget_stops_the_point(self):
         # point_budget_s is the one wall-clock budget: run_point hands it to
         # the optimizer, which stops every start at the deadline.
-        point = PointSpec("sbo", "linearized", 2, 1.0)
+        point = PointSpec("linearized", 2, 1.0)
         cut = run_point(fast_config(point_budget_s=0.0), point)
         full = run_point(fast_config(point_budget_s=None), point)
         assert not cut.converged
@@ -100,7 +123,7 @@ class TestRunPoint:
 
     def test_classical_record_has_per_temperature_tvds(self):
         cfg = fast_config(temperatures=(0.5, 1.0))
-        rec = run_point(cfg, PointSpec("qaoa", "full", 1, None))
+        rec = run_point(cfg, PointSpec("full", 1, None))
         assert rec.temperature is None and rec.tvd is None
         assert [t for t, _ in rec.tvd_by_temperature] == [0.5, 1.0]
         assert all(0.0 <= v <= 1.0 for _, v in rec.tvd_by_temperature)
@@ -173,7 +196,7 @@ class TestSerialization:
         inst = IsingInstance(n=2, couplings={(1, 2): 1.0}, fields=(0.5, 0.0))
         cfg = fast_config(instance=inst, methods=("qaoa",), schemes=("full",),
                           depths=(1,), point_budget_s=None)
-        record = run_point(cfg, PointSpec("qaoa", "full", 1, None))
+        record = run_point(cfg, PointSpec("full", 1, None))
         assert record.orbit_probs == ()
         path = tmp_path / "out.csv"
         emit_csv([record], path)
@@ -187,7 +210,7 @@ class TestSerialization:
         # no couplings: all 8 states are ground states, in 4 flip orbits
         cfg = fast_config(instance=IsingInstance(n=3), methods=("qaoa",), schemes=("full",),
                           depths=(1,), point_budget_s=None)
-        record = run_point(cfg, PointSpec("qaoa", "full", 1, None))
+        record = run_point(cfg, PointSpec("full", 1, None))
         assert len(record.orbit_probs) == 4
         path = tmp_path / "out.csv"
         emit_csv([record], path)

@@ -216,6 +216,10 @@ class TestLockstep:
         with pytest.raises(ValueError, match=str(cap)):
             PowellOptions(max_evaluations=cap)
 
+    def test_fractional_cap_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            PowellOptions(max_evaluations=2.5)
+
     @pytest.mark.parametrize("budget", [-1.0, float("nan")])
     def test_bad_time_budget_rejected(self, budget):
         with pytest.raises(ValueError, match=str(budget)):

@@ -74,6 +74,8 @@ class TestSchedules:
             sim.run_angles([1.0], [])
         with pytest.raises(ValueError):
             QaoaProblem(toy_instance(), CostKind.classical(), "full", 0)
+        with pytest.raises(ValueError, match="integer"):
+            QaoaProblem(toy_instance(), CostKind.classical(), "full", 2.0)
 
     def test_schedule_from_params(self):
         gammas, betas = QaoaProblem(toy_instance(), CostKind.classical(), "full", 2).schedule(
@@ -124,6 +126,12 @@ class TestObjective:
                 lin.objective(params)
             with pytest.raises(ValueError, match="4 parameters"):
                 lin.probabilities(params)
+
+    @pytest.mark.parametrize("scheme", ["full", "linearized"])
+    def test_no_parameter_rows_rejected(self, scheme):
+        problem = QaoaProblem(toy_instance(), CostKind.sbo(1.0), scheme, 3)
+        with pytest.raises(ValueError, match="at least one schedule"):
+            problem.objective(np.zeros((0, 6 if scheme == "full" else 4)))
 
     def test_classical_phase_periodicity(self):
         # toy energies are integers: gamma -> gamma + 2 pi leaves the
